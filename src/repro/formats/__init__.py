@@ -33,8 +33,6 @@ from .network import (
     NetworkKernel,
     RoundTable,
     aligned_value_table,
-    compile_network,
-    exact_product_table,
     round_table,
 )
 from .quire import (
@@ -76,10 +74,8 @@ __all__ = [
     "NetworkKernel",
     "RoundTable",
     "NETWORK_PATHS",
-    "compile_network",
     "round_table",
     "aligned_value_table",
-    "exact_product_table",
     "LIMB_BITS",
     "ROUNDING_MODES",
     "NormalizedQuire",

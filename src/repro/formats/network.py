@@ -17,27 +17,28 @@ patterns (and usually not even as patterns — see *operand fusion* below):
   exact int64 quire ``word``, and rounding is a monotone step function of
   it.  At compile time the step function's breakpoints are found by binary
   search *against the backend's own encoder* (:func:`round_table`), so the
-  whole round-once stage becomes one ``searchsorted`` over at most
-  ``2**n + 1`` int64 thresholds plus one table gather — bit-identical to
-  ``encode_from_quire_words`` by construction, for both rounding modes.
+  whole round-once stage becomes an O(1) bucketed lookup — each word's
+  float64 bit image keys a dense table (:func:`_round_key`), one compare
+  against the bucket's breakpoint picks the slot, one gather yields the
+  result — bit-identical to ``encode_from_quire_words`` by construction,
+  for both rounding modes.
 * **Operand fusion.** The gather does not produce patterns and stop: the
   slot table is pre-composed with this layer's pattern-space ReLU map and
   with whatever representation the *next* layer consumes (its exact int64
   aligned values, its pattern indices, or nothing but a rank for the
   readout).  Round-once -> ReLU -> next layer's operand gather is a single
-  ``searchsorted`` + ``take`` into the next layer's preallocated
-  activation buffer.
+  slot lookup + ``take`` into the next layer's preallocated activation
+  buffer.
 * **Fused readout.** ``predict`` composes the last layer's slot table with
-  the format's monotone rank table, so classification is
-  ``argmax(searchsorted(...))`` — no float64 decode, no pattern
-  materialization for the readout rows.
+  the format's monotone rank table, so classification is an ``argmax``
+  over looked-up ranks — no float64 decode, no pattern materialization for
+  the readout rows.
 * **Inputs are validated once** per forward call, not once per layer.
 
-Per-layer integer fast paths
-----------------------------
-Each layer's *words computation* is chosen per shape at compile time from
-the eligible candidates, by actually timing them on a synthetic batch
-(decisions are cached per ``(backend, mode, shape)`` for the process):
+Per-layer words paths
+---------------------
+Each layer's *words computation* is a pure function of the layer, so every
+process compiles the same plan for the same model:
 
 ``plane``
     The per-layer kernels' plane-major stage: one float64 BLAS GEMM per
@@ -49,40 +50,34 @@ the eligible candidates, by actually timing them on a synthetic batch
     (one gather, usually pre-fused into the previous epilogue),
     ``A @ W.T`` in integer dtype.  Exact and overflow-free whenever the
     layer's quire bound fits int64: every product and every partial sum
-    is bounded by ``max_row sum|w| * max|a| < 2**62``.  This replaces the
-    limb-in-float64 trick wherever the single-word bound already holds.
-``product``
-    A product-rank gather for narrow fan-ins: the registry-memoized
-    ``(2**n, 2**n)`` *exact* product table (int64 products in quire-LSB
-    units — the exact-path sibling of the ablation layer's rounded
-    product table) is pre-gathered per input column, and
-    ``word[b, o] = sum_i table_i[a_bi, o]`` needs no digit decomposition
-    at all.  Eligible for table formats whose full product range fits
-    int64 and whose fan-in is small.
+    is bounded by ``max_row sum|w| * max|a| < 2**62``.
 ``layer``
     Fallback: the compiled per-layer kernel plus a composed epilogue
-    gather.  Used when the quire bound exceeds int64 (pathological
-    weights) and for custom formats without limb tables.  Fixed point
-    compiles to its native int64 matmul with the shift-round epilogue
-    inlined (its clipped signed outputs *are* monotone ranks, so the
-    fused readout is a plain argmax).
+    gather.  Used when the quire bound exceeds int64 and for custom
+    formats without limb tables.  Fixed point compiles to its native int64
+    matmul with the shift-round epilogue inlined (its clipped signed
+    outputs *are* monotone ranks, so the fused readout is a plain argmax).
 
-Exactness: all three fast paths compute the same exact int64 quire word,
-then share the same oracle-derived round table — so they are bit-identical
-to each other, to the per-layer kernels, and to the scalar EMACs
-(property-tested across every registered format, both rounding modes, and
-every forced path in ``tests/formats/test_network_kernel.py``).
+The rule: a plane-eligible layer takes ``plane`` when its multiply-adds
+per row, ``in * out``, reach ``_PLANE_MACS_PER_PLANE`` per live activation
+digit plane (each plane is one more gather + GEMM, so small layers favour
+the single int64 matmul); otherwise it takes ``int64``; a layer without a
+single-word quire bound takes ``layer``.
+
+Exactness: both single-word paths compute the same exact int64 quire word,
+then share the same oracle-derived round table — so every path is
+bit-identical to the others, to the per-layer kernels, and to the scalar
+EMACs (property-tested across every registered format, both rounding
+modes, and every forced path in ``tests/formats/test_network_kernel.py``).
 
 Obtain plans through :meth:`repro.formats.NumericFormat.compile_network`
 (or ``PositronNetwork.network_kernel()``, which recompiles automatically
-when a layer is recompiled); ``explain()`` reports the per-layer decision,
-candidate timings, and compiled-table footprint — surfaced as
+when a layer is recompiled); ``explain()`` reports the per-layer path, the
+rule's inputs, and the compiled-table footprint — surfaced as
 ``python -m repro formats --explain DATASET:FORMAT``.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -90,7 +85,6 @@ from . import kernels as _kernels
 from .base import NumericFormat
 from .kernels import (
     MatmulLayerKernel,
-    TableLayerKernel,
     _check_weights,
     _scratch,
     check_patterns,
@@ -107,26 +101,23 @@ from .quire import (
 __all__ = [
     "NetworkKernel",
     "RoundTable",
-    "compile_network",
     "aligned_value_table",
-    "exact_product_table",
+    "choose_path",
+    "live_planes",
     "round_table",
     "NETWORK_PATHS",
 ]
 
 #: Selectable per-layer words-computation paths (``force_path`` values).
-NETWORK_PATHS = ("plane", "int64", "product", "layer")
+NETWORK_PATHS = ("plane", "int64", "layer")
 
 #: Single-word quires are bounded by ``|word| < 2**62``; the round tables
 #: cover exactly that window.
 _WORD_CAP = np.int64(1) << 62
 
-#: Product-rank candidacy: fan-in cap and per-layer gather-table budget.
-_PRODUCT_MAX_FAN_IN = 128
-_PRODUCT_MAX_TABLE_BYTES = 32 * 1024 * 1024
-
-#: Rows of the synthetic batch used to time candidate paths at compile.
-_PROBE_ROWS = 128
+#: Path rule: a plane-eligible layer takes ``plane`` once ``in * out``
+#: reaches this many multiply-adds per live activation digit plane.
+_PLANE_MACS_PER_PLANE = 200
 
 #: Mantissa-bit depth range of the round-table bucket grid: the smallest
 #: ``m`` whose buckets separate all boundaries wins.  Adjacent boundaries
@@ -135,9 +126,6 @@ _PROBE_ROWS = 128
 #: ``128 << m`` entries (~4 MiB) per backend and rounding mode.
 _ROUND_KEY_MIN_M = 4
 _ROUND_KEY_MAX_M = 18
-
-#: Per-process decision cache: (backend, mode, shape, candidates) -> entry.
-_DECISIONS: dict[tuple, dict] = {}
 
 
 # ----------------------------------------------------------------------
@@ -162,27 +150,14 @@ def aligned_value_table(backend: NumericFormat) -> np.ndarray | None:
     return None if got is False else got
 
 
-def exact_product_table(backend: NumericFormat) -> np.ndarray | None:
-    """The ``(2**n, 2**n)`` *exact* pattern-pair product table, memoized.
-
-    Entry ``[w, a]`` is the exact int64 product of the two patterns'
-    aligned values in quire-LSB units — the exact-accumulation sibling of
-    the ablation layer's rounded ``naive_product_table``.  ``None`` when
-    the format is too wide for the dense table (``n > 10``) or its product
-    range overflows int64 (e.g. posit8_2's maxpos products).
-    """
+def live_planes(backend: NumericFormat) -> tuple[int, ...]:
+    """Indices of the activation digit planes holding any non-zero digit."""
 
     def build():
-        t = backend.limb_tables()
-        if t is None or backend.width > 10 or 2 * t.sig_bits + t.max_shift > 62:
-            return False
-        vals = aligned_value_table(backend)
-        if vals is None:
-            return False
-        return vals[:, None] * vals[None, :]
+        digits = digit_planes(backend)
+        return tuple(m for m in range(digits.shape[1]) if digits[:, m].any())
 
-    got = backend._memo("_exact_product_table", build)
-    return None if got is False else got
+    return backend._memo("_live_planes", build)
 
 
 def _round_key(words: np.ndarray, m: int) -> np.ndarray:
@@ -346,8 +321,8 @@ class _TableStep:
 
     ``wants`` names the operand representation the step consumes —
     ``"aval"`` (exact int64 aligned values) for the int64 matmul,
-    ``"pattern"`` (int64 pattern indices) for the plane-major and
-    product-rank paths.  The *previous* step's epilogue produces it
+    ``"pattern"`` (int64 pattern indices) for the plane-major path.  The
+    *previous* step's epilogue produces it
     directly; :meth:`finalize` composes this step's own epilogue table the
     same way for its consumer.
     """
@@ -367,19 +342,10 @@ class _TableStep:
         if path == "int64":
             self.wants = "aval"
             self.w_t = np.ascontiguousarray(aligned_value_table(backend)[wp].T)
-        elif path == "product":
-            self.wants = "pattern"
-            products = exact_product_table(backend)
-            # Column i gathered as (2**n, out): word contributions of every
-            # possible activation pattern against every output's weight.
-            self.col_tables = [
-                np.ascontiguousarray(products[wp[:, i]].T)
-                for i in range(self.in_features)
-            ]
         elif path == "plane":
             self.wants = "pattern"
             digits = digit_planes(backend)
-            live = [m for m in range(digits.shape[1]) if digits[:, m].any()]
+            live = live_planes(backend)
             w_vals = np.ldexp(
                 tables.signed_sig[wp].astype(np.float64), tables.shift[wp]
             )
@@ -414,12 +380,6 @@ class _TableStep:
         words = scratch.get((rows, out_dim), np.int64, tag + "w")
         if self.path == "int64":
             np.matmul(ops, self.w_t, out=words)
-        elif self.path == "product":
-            np.take(self.col_tables[0], ops[:, 0], axis=0, out=words)
-            acc = scratch.get((rows, out_dim), np.int64, tag + "t")
-            for i in range(1, self.in_features):
-                np.take(self.col_tables[i], ops[:, i], axis=0, out=acc)
-                words += acc
         else:  # plane
             words.fill(0)
             staged = scratch.get(
@@ -445,10 +405,7 @@ class _TableStep:
 
     def table_bytes(self) -> int:
         total = self.rt.boundaries.nbytes + self.slot_out.nbytes
-        if self.path == "product":
-            total += sum(t.nbytes for t in self.col_tables)
-        else:
-            total += self.w_t.nbytes
+        total += self.w_t.nbytes
         if self.path == "plane":
             total += sum(t.nbytes for t in self.plane_tables)
         return total
@@ -557,6 +514,20 @@ class _LayerStep:
 # ----------------------------------------------------------------------
 # The compiled network plan
 # ----------------------------------------------------------------------
+def choose_path(eligible, macs: int, planes: int) -> str:
+    """The words path a layer compiles to when none is forced.
+
+    ``plane`` costs one gather + float64 GEMM per live activation digit
+    plane, ``int64`` one integer matmul, so ``plane`` wins once the layer
+    has ``_PLANE_MACS_PER_PLANE`` multiply-adds per row per plane.
+    """
+    if "plane" in eligible and (
+        "int64" not in eligible or macs >= _PLANE_MACS_PER_PLANE * planes
+    ):
+        return "plane"
+    return "int64" if "int64" in eligible else "layer"
+
+
 class NetworkKernel:
     """A whole network compiled into one fused chained plan.
 
@@ -568,8 +539,7 @@ class NetworkKernel:
 
     ``force_path`` pins every layer to one words-computation path (testing
     hook; raises if a layer is not eligible for it); by default each
-    layer's path is chosen by timing the eligible candidates once per
-    ``(backend, mode, shape)`` per process.
+    layer's path follows the shape rule of :func:`choose_path`.
     """
 
     def __init__(
@@ -641,112 +611,51 @@ class NetworkKernel:
                         f"not {force_path!r}"
                     )
                 step = _FixedStep(backend, weights, bias, activation, mode)
-                return step, {
-                    "path": "int64",
-                    "eligible": ("int64",),
-                    "timings_us": None,
-                }
+                return step, {"path": "int64", "eligible": ("int64",)}
             if force_path not in (None, "layer"):
                 raise ValueError(
                     f"{backend.name} has no limb tables; only the layer "
                     f"path is available"
                 )
             step = _LayerStep(backend, probe, activation)
-            return step, {
-                "path": "layer",
-                "eligible": ("layer",),
-                "timings_us": None,
-            }
+            return step, {"path": "layer", "eligible": ("layer",)}
 
         wp = check_patterns(tables, weights, "weights")
         bp = None if bias is None else check_patterns(tables, bias, "bias")
         eligible = self._eligible_paths(wp, bp)
-        if force_path is not None:
-            if force_path != "layer" and force_path not in eligible:
-                raise ValueError(
-                    f"layer shape {wp.shape} is not eligible for the "
-                    f"{force_path!r} path (eligible: {eligible + ('layer',)})"
-                )
-            chosen, timings = force_path, None
-        elif not eligible:
-            chosen, timings = "layer", None
-        elif len(eligible) == 1:
-            chosen, timings = eligible[0], None
+        planes = len(live_planes(backend))
+        if force_path is None:
+            chosen = choose_path(eligible, wp.size, planes)
+        elif force_path in eligible:
+            chosen = force_path
         else:
-            chosen, timings = self._decide(tables, wp, bp, activation, eligible)
+            raise ValueError(
+                f"layer shape {wp.shape} is not eligible for the "
+                f"{force_path!r} path (eligible: {eligible})"
+            )
         if chosen == "layer":
             step = _LayerStep(backend, compiled(), activation)
         else:
             step = _TableStep(backend, tables, wp, bp, activation, mode, chosen)
         return step, {
-            "path": chosen,
-            "eligible": eligible + ("layer",),
-            "timings_us": timings,
+            "path": chosen, "eligible": eligible, "live_planes": planes,
         }
 
     def _eligible_paths(self, wp, bp) -> tuple[str, ...]:
         tables = self._tables
-        word_mode = quire_bound_bits(tables, wp, bp) <= 62
-        if not word_mode:
-            return ()
-        out_dim, in_dim = wp.shape
+        if quire_bound_bits(tables, wp, bp) > 62:
+            return ("layer",)
         eligible = []
         w_vals = np.ldexp(
             tables.signed_sig[wp].astype(np.float64), tables.shift[wp]
         )
         w_max = np.abs(w_vals).max() if wp.size else 0.0
         w_bits = int(np.frexp(w_max)[1]) if w_max else 0
-        if w_bits + LIMB_BITS + max(1, in_dim).bit_length() <= 53:
+        if w_bits + LIMB_BITS + max(1, wp.shape[1]).bit_length() <= 53:
             eligible.append("plane")
         if aligned_value_table(self.backend) is not None:
             eligible.append("int64")
-        if (
-            exact_product_table(self.backend) is not None
-            and in_dim <= _PRODUCT_MAX_FAN_IN
-            and in_dim * out_dim * 8 << self.backend.width
-            <= _PRODUCT_MAX_TABLE_BYTES
-        ):
-            eligible.append("product")
-        return tuple(eligible)
-
-    def _decide(self, tables, wp, bp, activation, eligible):
-        """Pick the fastest eligible path by timing a synthetic batch."""
-        key = (
-            self.backend.name,
-            self.rounding_mode,
-            wp.shape,
-            bp is not None,
-            eligible,
-        )
-        cached = _DECISIONS.get(key)
-        if cached is not None:
-            return cached["path"], cached["timings_us"]
-        rng = np.random.default_rng(0)
-        pool = np.flatnonzero(~tables.invalid).astype(np.int64)
-        patterns = rng.choice(pool, size=(_PROBE_ROWS, wp.shape[1]))
-        scratch = _scratch()
-        timings = {}
-        for path in eligible:
-            step = _TableStep(
-                self.backend, tables, wp, bp, activation,
-                self.rounding_mode, path,
-            )
-            step.finalize("pattern")
-            ops = (
-                aligned_value_table(self.backend)[patterns]
-                if step.wants == "aval"
-                else patterns
-            )
-            step.run(ops, scratch, "probe-")  # warm scratch + caches
-            best = float("inf")
-            for _ in range(3):
-                t0 = time.perf_counter()
-                step.run(ops, scratch, "probe-")
-                best = min(best, time.perf_counter() - t0)
-            timings[path] = round(best * 1e6, 2)
-        chosen = min(timings, key=timings.get)
-        _DECISIONS[key] = {"path": chosen, "timings_us": timings}
-        return chosen, timings
+        return (*eligible, "layer")
 
     # ------------------------------------------------------------------
     def _prepare(self, patterns) -> np.ndarray:
@@ -815,7 +724,12 @@ class NetworkKernel:
 
     # ------------------------------------------------------------------
     def explain(self) -> list[dict]:
-        """Per-layer compile decisions: path, eligibility, timings, bytes."""
+        """Per-layer compile decisions: path, eligibility, rule inputs, bytes.
+
+        ``macs`` (multiply-adds per row) and ``live_planes`` are the inputs
+        of :func:`choose_path`; ``live_planes`` is ``None`` for formats
+        without limb tables.
+        """
         report = []
         for i, (step, decision) in enumerate(zip(self.steps, self._decisions)):
             report.append(
@@ -827,26 +741,10 @@ class NetworkKernel:
                     "wants": step.wants,
                     "path": decision["path"],
                     "eligible": list(decision["eligible"]),
-                    "timings_us": decision["timings_us"],
+                    "macs": step.in_features * step.out_features,
+                    "live_planes": decision.get("live_planes"),
                     "table_bytes": step.table_bytes(),
                 }
             )
         return report
 
-
-def compile_network(
-    backend: NumericFormat,
-    layers,
-    *,
-    rounding_mode: str = "rne",
-    layer_kernels=None,
-    force_path: str | None = None,
-) -> NetworkKernel:
-    """Compile ``(weights, bias, activation)`` triples into a fused plan."""
-    return NetworkKernel(
-        backend,
-        layers,
-        rounding_mode=rounding_mode,
-        layer_kernels=layer_kernels,
-        force_path=force_path,
-    )

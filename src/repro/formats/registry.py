@@ -65,6 +65,10 @@ class FormatFamily:
     sweep_candidates: Callable[[int], Sequence[object]] | None = None
 
 
+#: Widest pattern the batched kernels handle: decode tables and the vector
+#: engines index ``2**width``-entry tables.
+_MAX_WIDTH = 16
+
 _FAMILIES: dict[str, FormatFamily] = {}
 _BACKENDS: dict[object, NumericFormat] = {}
 _BY_NAME: dict[str, NumericFormat] = {}
@@ -125,11 +129,12 @@ def backend_for(fmt: object) -> NumericFormat:
 def get(name: str) -> NumericFormat:
     """Resolve a registry name (``posit8_1``) or label (``posit<8,1>``).
 
-    Raises ``KeyError`` both for names no family recognizes and for names a
-    family parses but whose parameters its descriptor rejects, so callers
-    have a single error contract.  Resolutions are memoized per name key
-    (on top of the per-descriptor backend cache), so hot by-name paths —
-    sweep config enumeration, CLI, pool workers — skip re-parsing.
+    Raises ``KeyError`` for names no family recognizes, for names a family
+    parses but whose parameters its descriptor rejects, and for formats
+    wider than the batched kernels support (``_MAX_WIDTH`` bits), so
+    callers have a single error contract.  Resolutions are memoized per
+    name key (on top of the per-descriptor backend cache), so hot by-name
+    paths — sweep config enumeration, CLI, pool workers — skip re-parsing.
     """
     cached = _BY_NAME.get(name)
     if cached is not None:
@@ -141,6 +146,11 @@ def get(name: str) -> NumericFormat:
             raise KeyError(f"invalid format name {name!r}: {exc}") from exc
         if fmt is not None:
             backend = backend_for(fmt)
+            if backend.width > _MAX_WIDTH:
+                raise KeyError(
+                    f"unsupported format name {name!r}: {backend.label} is "
+                    f"wider than the {_MAX_WIDTH} bits the kernels support"
+                )
             _BY_NAME[name] = backend
             return backend
     known = ", ".join(_FAMILIES) or "<none>"

@@ -85,6 +85,13 @@ _RETRY_AFTER_S = 1
 #: runs cannot change any served bit.)
 _INLINE_BODY_BYTES = 64 * 1024
 
+#: The 400 answer for feature values that are not finite numbers.  JSON
+#: ``NaN`` / ``Infinity`` (and overflowing literals like ``1e999``) parse
+#: to non-finite floats, and booleans would silently read as 0.0 / 1.0.
+_BAD_INPUTS = (
+    "'inputs' must hold finite numbers (no NaN, Infinity or booleans)"
+)
+
 #: Control endpoints a pooled worker must not answer alone: hitting any
 #: of these on the *public* (shared) port reaches one arbitrary worker,
 #: so the worker forwards to the pool manager, which fans out / merges
@@ -92,6 +99,18 @@ _INLINE_BODY_BYTES = 64 * 1024
 #: fan-out comes back on each worker's loopback admin listener, which is
 #: trusted as "local" and answered directly.
 _POOLED_FORWARD = {"/swap", "/ab", "/rollback", "/stats", "/metrics"}
+
+
+def _holds_bool(inputs) -> bool:
+    """Whether parsed ``inputs`` — a row or a list of rows — holds a boolean.
+
+    Deeper nesting needs no scan: it fails the ``(rows, features)`` check.
+    """
+    rows = inputs if isinstance(inputs, list) else [inputs]
+    return any(
+        bool in map(type, row) if isinstance(row, list) else type(row) is bool
+        for row in rows
+    )
 
 
 class InferenceServer:
@@ -549,6 +568,19 @@ class InferenceServer:
             raise _HttpError(400, "body must be a JSON object")
         return payload
 
+    @classmethod
+    def _predict_body(cls, body: bytes) -> dict:
+        """Parse a ``/predict`` body, rejecting JSON booleans in ``inputs``.
+
+        The exact scan runs only when the raw body holds a boolean literal.
+        """
+        payload = cls._json_body(body)
+        if (b"true" in body or b"false" in body) and _holds_bool(
+            payload.get("inputs")
+        ):
+            raise _HttpError(400, _BAD_INPUTS)
+        return payload
+
     async def _resolve_model(self, payload: dict) -> ServedModel:
         dataset = payload.get("dataset")
         format_name = payload.get("format")
@@ -570,6 +602,8 @@ class InferenceServer:
             inputs = np.asarray(raw, dtype=np.float64)
         except (TypeError, ValueError):
             raise _HttpError(400, "'inputs' must be a numeric array") from None
+        if not np.isfinite(inputs).all():
+            raise _HttpError(400, _BAD_INPUTS)
         if inputs.ndim == 1:
             inputs = inputs[None, :]
         if inputs.ndim != 2 or inputs.shape[0] == 0:
@@ -872,10 +906,10 @@ class InferenceServer:
         loop = asyncio.get_running_loop()
         if offload:
             payload = await loop.run_in_executor(
-                self._executor, self._json_body, body
+                self._executor, self._predict_body, body
             )
         else:
-            payload = self._json_body(body)
+            payload = self._predict_body(body)
         experiment = canary = None
         dataset = payload.get("dataset")
         if payload.get("format") is None and isinstance(dataset, str):

@@ -8,14 +8,23 @@ round table against ``encode_from_quire_words`` over the whole single-word
 window, its O(1) bucket index against plain ``searchsorted``, and the
 pattern-space ReLU composition against ``engine.relu`` on every valid
 pattern.  Shape edges (empty batches, single rows, fan-in 1) are covered
-per forced path.
+per forced path.  The default plan is a pure function of the layers: the
+path rule is pinned per paper layer shape, and two fresh processes must
+compile identical plans.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import formats
 from repro.core import engine_for
 from repro.core.positron import PositronNetwork
@@ -25,9 +34,11 @@ from repro.formats.network import (
     NETWORK_PATHS,
     NetworkKernel,
     aligned_value_table,
-    exact_product_table,
+    choose_path,
+    live_planes,
     round_table,
 )
+from repro.formats.kernels import quire_bound_bits
 from repro.posit.format import standard_format
 
 FORMATS = [
@@ -147,7 +158,7 @@ class TestRoundTable:
             )
 
     def test_exact_tables_are_exact(self, table_fmt):
-        """Aligned values and the product table agree with the decode tables."""
+        """Aligned values agree with the decode tables."""
         backend = formats.backend_for(table_fmt)
         t = backend.limb_tables()
         valid = np.flatnonzero(~t.invalid)
@@ -158,15 +169,6 @@ class TestRoundTable:
             )
             dec = backend.decode_batch(valid.astype(np.uint32))
             assert np.array_equal(np.sign(avals[valid]), np.sign(dec))
-        products = exact_product_table(backend)
-        if products is not None:
-            assert products.shape == (1 << table_fmt.n, 1 << table_fmt.n)
-            assert products.dtype == np.int64
-            assert np.array_equal(products, products.T)
-            assert np.array_equal(
-                products[valid][:, valid],
-                avals[valid][:, None] * avals[valid][None, :],
-            )
 
 
 class TestFusedBitIdentity:
@@ -201,6 +203,24 @@ class TestFusedBitIdentity:
             pred = plan.predict(X)
             assert pred.shape == (batch,), path
             assert np.array_equal(pred, expected_pred), (path, mode)
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    def test_every_format_mode_and_path(self, any_fmt, mode):
+        """Every format x mode: each constructible path == per-layer kernels.
+
+        A path is forceable exactly when every layer lists it as eligible.
+        """
+        backend = formats.backend_for(any_fmt)
+        rng = np.random.default_rng(21)
+        layers, X, net = random_network(
+            any_fmt, rng, (6, 5, 3), 7, rounding_mode=mode
+        )
+        expected = net.forward_patterns_layers(X)
+        plans = forced_plans(backend, layers, mode)
+        eligible = [set(row["eligible"]) for row in plans[0][1].explain()]
+        assert {path for path, _ in plans[1:]} == set.intersection(*eligible)
+        for path, plan in plans:
+            assert np.array_equal(plan.forward(X), expected), (path, mode)
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -272,12 +292,20 @@ class TestFusedBitIdentity:
 class TestPlanCompile:
     def test_force_path_rejects_ineligible(self):
         """Forcing a path a layer cannot take raises, never silently falls back."""
-        fmt = standard_format(8, 2)  # product range overflows int64
+        fmt = standard_format(8, 2)
         backend = formats.backend_for(fmt)
         rng = np.random.default_rng(9)
         layers, _, _ = random_network(fmt, rng, (3, 2), 1)
-        with pytest.raises(ValueError, match="not eligible"):
-            backend.compile_network(layers, force_path="product")
+        weights, bias, _ = layers[0]
+        tables = backend.limb_tables()
+        assert quire_bound_bits(
+            tables, weights.astype(np.int64), bias.astype(np.int64)
+        ) > 62  # no single-word bound: only the layer path fits
+        for path in ("int64", "plane"):
+            with pytest.raises(ValueError, match="not eligible"):
+                backend.compile_network(layers, force_path=path)
+        plan = backend.compile_network(layers)
+        assert [row["path"] for row in plan.explain()] == ["layer"]
         with pytest.raises(ValueError, match="force_path"):
             backend.compile_network(layers, force_path="warp")
 
@@ -329,3 +357,113 @@ class TestPlanCompile:
             NetworkKernel(backend, layers, layer_kernels=[None])
         with pytest.raises(ValueError, match="at least one layer"):
             NetworkKernel(backend, [])
+
+
+#: Table I topologies of the three paper datasets.
+PAPER_TOPOLOGIES = {
+    "iris": (4, 10, 6, 3),
+    "wbc": (30, 16, 8, 2),
+    "mushroom": (117, 24, 12, 2),
+}
+
+#: The rule's path per paper layer, at (one, two) live activation planes.
+PAPER_RULE = {
+    "iris": [("int64", "int64")] * 3,
+    "wbc": [("plane", "plane"), ("int64", "int64"), ("int64", "int64")],
+    "mushroom": [("plane", "plane"), ("plane", "int64"), ("int64", "int64")],
+}
+
+#: Every (topology, format) the serving benchmarks compile.
+SERVED_MODELS = [
+    (ds, fmt)
+    for ds in ("iris", "wbc")
+    for fmt in ("posit8_1", "float3_4", "fixed8_4")
+] + [
+    ("mushroom", fmt)
+    for fmt in (
+        "posit8_0", "posit8_1", "posit8_2", "float2_5", "fixed8_3",
+        "posit16_1",
+    )
+]
+
+
+def synthetic_network(dataset, format_name, seed=0):
+    """A paper-topology network on seeded float weights (no training)."""
+    topo = PAPER_TOPOLOGIES[dataset]
+    rng = np.random.default_rng(seed)
+    shapes = list(zip(topo[1:], topo))
+    weights = [rng.normal(0.0, 0.5, size=shape) for shape in shapes]
+    biases = [rng.normal(0.0, 0.5, size=o) for o, _ in shapes]
+    fmt = formats.get(format_name).fmt
+    return PositronNetwork.from_float_params(fmt, weights, biases)
+
+
+def served_plan_paths() -> dict:
+    plans = {}
+    for ds, fmt in SERVED_MODELS:
+        report = synthetic_network(ds, fmt).network_kernel().explain()
+        plans[f"{ds}:{fmt}"] = [row["path"] for row in report]
+    return plans
+
+
+class TestPathRule:
+    @pytest.mark.parametrize("planes", [1, 2])
+    @pytest.mark.parametrize("dataset", sorted(PAPER_TOPOLOGIES))
+    def test_rule_pins_paper_shapes(self, dataset, planes):
+        """choose_path's pick for every paper layer at 1 and 2 live planes."""
+        topo = PAPER_TOPOLOGIES[dataset]
+        both = ("plane", "int64", "layer")
+        got = [
+            choose_path(both, i * o, planes) for i, o in zip(topo, topo[1:])
+        ]
+        assert got == [pair[planes - 1] for pair in PAPER_RULE[dataset]]
+
+    def test_rule_single_candidate(self):
+        """With one fast path eligible the shape never matters."""
+        for macs in (1, 10**6):
+            assert choose_path(("plane", "layer"), macs, 3) == "plane"
+            assert choose_path(("int64", "layer"), macs, 1) == "int64"
+            assert choose_path(("layer",), macs, 1) == "layer"
+
+    @pytest.mark.parametrize(
+        "format_name,planes", [("posit8_0", 1), ("posit8_1", 2)]
+    )
+    @pytest.mark.parametrize("dataset", sorted(PAPER_TOPOLOGIES))
+    def test_compiled_plans_follow_rule(self, dataset, format_name, planes):
+        """Compiled paper-shape plans take the rule's path on every layer."""
+        backend = formats.get(format_name)
+        assert len(live_planes(backend)) == planes
+        net = synthetic_network(dataset, format_name)
+        report = net.network_kernel().explain()
+        for row, pair in zip(report, PAPER_RULE[dataset]):
+            assert row["eligible"] == ["plane", "int64", "layer"]
+            assert row["live_planes"] == planes
+            assert row["macs"] == row["in_features"] * row["out_features"]
+            assert row["path"] == pair[planes - 1]
+
+    def test_plans_identical_across_processes(self):
+        """Two fresh processes compile the served models to the same plans."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import json, sys\n"
+            "from tests.formats.test_network_kernel import served_plan_paths\n"
+            "json.dump(served_plan_paths(), sys.stdout)\n"
+        )
+        root = str(Path(__file__).resolve().parents[2])
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code], cwd=root, env=env,
+                stdout=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        plans = [json.loads(p.communicate(timeout=120)[0]) for p in procs]
+        assert all(p.returncode == 0 for p in procs)
+        assert plans[0] == plans[1]
+        assert sorted(plans[0]) == sorted(
+            f"{ds}:{fmt}" for ds, fmt in SERVED_MODELS
+        )

@@ -41,6 +41,15 @@ class TestLookup:
         with pytest.raises(KeyError):
             formats.get("unobtainium8")
 
+    @pytest.mark.parametrize(
+        "name", ["posit99_1", "posit17_1", "float9_9", "fixed<32,16>"]
+    )
+    def test_too_wide_for_kernels(self, name):
+        """Names that parse but exceed the 16-bit kernels are KeyErrors."""
+        with pytest.raises(KeyError, match="wider than the 16 bits"):
+            formats.get(name)
+        assert formats.get("posit16_1").width == 16  # the widest supported
+
     def test_unknown_type(self):
         with pytest.raises(TypeError):
             formats.backend_for("posit8")

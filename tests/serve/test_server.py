@@ -130,6 +130,72 @@ class TestErrorPaths:
             )
         assert err.value.status == 400
 
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), float("-inf"), True, False],
+        ids=["nan", "inf", "-inf", "true", "false"],
+    )
+    def test_non_finite_or_boolean_inputs_400(self, client, bad):
+        """A client mistake: stable 400, never counted as a server error."""
+        errors = client.stats()["errors"]
+        row = [0.5, bad, -0.25, 1.0]
+        for inputs in (row, [[0.1, 0.2, 0.3, 0.4], row]):
+            with pytest.raises(ServeError) as err:
+                client._request(
+                    "POST",
+                    "/predict",
+                    {"dataset": "toy", "format": "posit8_1", "inputs": inputs},
+                )
+            assert err.value.status == 400
+            assert err.value.message == (
+                "'inputs' must hold finite numbers "
+                "(no NaN, Infinity or booleans)"
+            )
+        assert client.stats()["errors"] == errors
+
+    def test_overflowing_literal_400(self, handle, client):
+        """``1e999`` parses to inf: the same 400 as ``Infinity``."""
+        import http.client
+
+        errors = client.stats()["errors"]
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", handle.server.port, timeout=10
+        )
+        try:
+            conn.request(
+                "POST", "/predict",
+                body='{"dataset": "toy", "format": "posit8_1", '
+                     '"inputs": [[1e999, 0, 0, 0]]}',
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "finite" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+        assert client.stats()["errors"] == errors
+
+    def test_boolean_outside_inputs_is_served(self, client, rng):
+        """Only booleans *in* ``inputs`` are rejected."""
+        x = rng.normal(size=(2, 4))
+        body = client._request(
+            "POST",
+            "/predict",
+            {"dataset": "toy", "format": "posit8_1", "inputs": x.tolist(),
+             "verbose": True},
+        )
+        direct = build_served_model("toy", "posit8_1", tiny_loader)
+        assert body["predictions"] == direct.network.predict(x).tolist()
+
+    def test_format_too_wide_400(self, client, rng):
+        """A name that parses but has no kernels is a client error."""
+        errors = client.stats()["errors"]
+        with pytest.raises(ServeError) as err:
+            client.predict("toy", "posit99_1", rng.normal(size=(1, 4)))
+        assert err.value.status == 400
+        assert "posit99_1" in err.value.message
+        assert client.stats()["errors"] == errors
+
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_malformed_content_length_gets_400(self, handle, length):
         import socket
