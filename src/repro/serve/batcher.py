@@ -31,11 +31,11 @@ concurrent single requests into kernel-sized batches:
   bit-identical to the per-layer kernels.
 
 Every scheduling *decision* — effective delay, shed threshold, deadline
-expiry, slice caps, poison isolation — lives in
-:class:`~repro.serve.scheduler.SchedulerPolicy` and the shared helpers in
-:mod:`repro.serve.scheduler`, which also provides the loop-free
-:class:`~repro.serve.scheduler.ThreadBatcher` binding used by the
-process-pool worker tier.  This module is only the asyncio plumbing.
+expiry, slice caps — lives in
+:class:`~repro.serve.scheduler.SchedulerPolicy` and the executor-side
+helpers in :mod:`repro.serve.scheduler`.  This module is the asyncio
+plumbing around them, and the only batcher: the single server and every
+process-pool worker (:mod:`repro.serve.pool`) run one per served model.
 
 **Bit-exactness.** Coalescing cannot change any answer: quantization is
 elementwise (stacking quantized requests equals quantizing the stacked
@@ -75,11 +75,6 @@ __all__ = [
     "POINT_BATCH",
 ]
 
-#: Back-compat alias — the pending-request record now lives in
-#: :mod:`repro.serve.scheduler`, shared by both transport bindings.
-_Pending = PendingRequest
-
-
 class MicroBatcher:
     """Coalesces requests for **one** served model (models never cross-batch:
     each model's batcher owns its own queue and worker)."""
@@ -111,51 +106,12 @@ class MicroBatcher:
         self._task: asyncio.Task | None = None
         self._closing = False
 
-    # -- policy mirrors (the knobs and estimator live on the policy) ------
-    @property
-    def max_batch(self) -> int:
-        return self.policy.max_batch
-
-    @property
-    def max_delay(self) -> float:
-        return self.policy.max_delay
-
-    @property
-    def queue_limit(self) -> int:
-        return self.policy.queue_limit
-
-    @property
-    def adaptive_delay(self) -> bool:
-        return self.policy.adaptive_delay
-
-    @property
-    def shed_threshold(self) -> float | None:
-        return self.policy.shed_threshold
-
-    @property
-    def _shed_at(self) -> int | None:
-        return self.policy.shed_at
-
-    @property
-    def _arrival_gap_s(self) -> float | None:
-        return self.policy._arrival_gap_s
-
-    @_arrival_gap_s.setter
-    def _arrival_gap_s(self, value: float | None) -> None:
-        self.policy._arrival_gap_s = value
-
-    def _observe_arrival(self, now: float) -> None:
-        self.policy.observe_arrival(now)
-
-    @property
-    def effective_delay(self) -> float:
-        """The coalescing window (seconds) the next batch will wait —
-        see :meth:`repro.serve.scheduler.SchedulerPolicy.effective_delay`."""
-        return self.policy.effective_delay
-
+    # The knobs and the adaptive estimator live on ``self.policy``.
     @property
     def effective_delay_ms(self) -> float:
-        """``effective_delay`` in milliseconds (for ``/models``/metrics)."""
+        """The coalescing window the next batch will wait, in milliseconds
+        (for ``/models`` and metrics) — see
+        :meth:`repro.serve.scheduler.SchedulerPolicy.effective_delay`."""
         return self.policy.effective_delay * 1000.0
 
     # ------------------------------------------------------------------
@@ -183,7 +139,8 @@ class MicroBatcher:
             self.stats.record_shed()
             raise QueueSaturated(
                 f"queue for {self.model.key} is saturated "
-                f"({self._queue.qsize()}/{self.queue_limit}); shedding load"
+                f"({self._queue.qsize()}/{self.policy.queue_limit}); "
+                "shedding load"
             )
         patterns = self.policy.validate_patterns(patterns)
         loop = asyncio.get_running_loop()
@@ -254,7 +211,8 @@ class MicroBatcher:
             rows = item.rows
             saw_close = False
             deadline = loop.time() + self.policy.effective_delay
-            while rows < self.max_batch:
+            cap = self.policy.max_batch
+            while rows < cap:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
                     # Deadline hit (possibly a near-zero adaptive window):
@@ -263,7 +221,7 @@ class MicroBatcher:
                     # without waiting — a same-tick burst batches fully
                     # even when the window is microseconds.
                     await asyncio.sleep(0)
-                    while rows < self.max_batch:
+                    while rows < cap:
                         try:
                             nxt = self._queue.get_nowait()
                         except asyncio.QueueEmpty:
@@ -310,7 +268,7 @@ class MicroBatcher:
             # mismatch between coalesced requests (or a MemoryError) must
             # resolve the futures, never kill the worker task.
             return predict_in_slices(model, stack_batch(batch),
-                                     self.max_batch)
+                                     self.policy.max_batch)
 
         try:
             predictions, sizes = await loop.run_in_executor(
@@ -341,7 +299,7 @@ class MicroBatcher:
         for item in batch:
             def run_one(item=item):
                 return predict_in_slices(model, item.patterns,
-                                         self.max_batch)
+                                         self.policy.max_batch)
 
             try:
                 predictions, sizes = await loop.run_in_executor(

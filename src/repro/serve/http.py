@@ -4,8 +4,7 @@ One hand-rolled HTTP surface serves three callers: the public
 :class:`~repro.serve.server.InferenceServer` handler, the pool manager's
 control server (:mod:`repro.serve.pool`), and the in-process async client
 (:func:`fetch`) those two use to talk to each other — worker → manager
-forwarding, manager → worker control fan-out, and router → worker
-proxying.  Keeping the parser/renderer here means every hop speaks
+forwarding and manager → worker control fan-out.  Keeping the parser/renderer here means every hop speaks
 byte-identical HTTP and a framing fix lands everywhere at once.
 """
 
@@ -138,8 +137,8 @@ async def fetch(
 ) -> tuple[int, bytes]:
     """One-shot async HTTP exchange; ``(status, body_bytes)``.
 
-    The control plane's transport: worker → manager forwarding, manager →
-    worker fan-out, and router → worker proxying all go through here.
+    The control plane's transport: worker → manager forwarding and
+    manager → worker fan-out both go through here.
     Connections are deliberately not reused — control traffic is rare and
     a fresh connection per exchange sidesteps stale-socket failure modes
     across process restarts.  Raises ``OSError`` / ``TimeoutError`` on

@@ -12,21 +12,14 @@ model store.
 :class:`WorkerPool` forks N worker processes (``spawn`` context — clean
 interpreters, no inherited locks), each running a full
 :class:`~repro.serve.server.InferenceServer` with its own registry,
-batchers, and executor threads.  Two distribution modes:
-
-* ``reuseport`` (default) — every worker binds the same public port with
-  ``SO_REUSEPORT``; the kernel spreads accepted connections across the
-  live listeners.  The pool holds a bound-but-never-listening placeholder
-  socket in the same reuseport group, which (a) resolves ``port=0`` once
-  so all workers agree, and (b) keeps the port reserved while workers
-  restart.  Zero-copy, no extra hop — but each model's micro-batcher runs
-  warm in *every* worker.
-* ``router`` — the pool process owns the public port and proxies each
-  request to a worker chosen by CRC32 of the ``(dataset, format)``
-  routing key, so each model's batcher stays hot in exactly one worker
-  (better coalescing when many models share few cores); any worker can
-  still serve any key (bits are worker-agnostic), so a dead target just
-  fails over to the next index.
+batchers, and executor threads.  Every worker binds the same public port
+with ``SO_REUSEPORT``, and the kernel spreads accepted connections across
+the live listeners: no extra hop, and each model's micro-batcher runs
+warm in every worker.  The pool holds a bound-but-never-listening
+placeholder socket in the same reuseport group, which (a) resolves
+``port=0`` once so all workers agree, and (b) keeps the port reserved
+while workers restart.  A platform without ``SO_REUSEPORT`` cannot run
+the pool; the single-process ``serve`` runs anywhere.
 
 **The control plane.**  The pool binds a loopback *manager* port before
 spawning; workers forward control requests (``/swap``, ``/ab``,
@@ -49,9 +42,9 @@ drains and replaces workers one at a time so the pool never serves a
 request with zero live listeners.
 
 Fault points: ``pool.worker`` (worker lifecycle + every batch — see
-:mod:`repro.serve.scheduler`) and ``pool.route`` (fired per fan-out /
-routing target in the pool process; ``raise``/``drop`` here simulate a
-torn control channel, which the broadcast's bounded retries must absorb).
+:mod:`repro.serve.scheduler`) and ``pool.route`` (fired per control
+fan-out hop in the pool process; ``raise``/``drop`` here simulate a torn
+control channel, which the broadcast's bounded retries must absorb).
 """
 
 from __future__ import annotations
@@ -67,8 +60,7 @@ import socket
 import sys
 import threading
 import time
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .. import faults
 from ..analysis.runner import _backoff_delay
@@ -93,19 +85,14 @@ __all__ = [
     "POINT_ROUTE",
 ]
 
-#: Fires in the pool process once per control fan-out target
-#: (``mode=broadcast``) and, in router mode, once per routed request
-#: (``mode=route``); context carries ``path`` and the target ``worker``.
-#: ``raise`` simulates a dropped control channel mid-``/swap`` — the
-#: bounded per-worker retries must still converge every registry.
+#: Fires in the pool process once per control fan-out hop (each attempt
+#: to reach one worker); context carries ``path`` and the target
+#: ``worker``.  ``raise`` simulates a dropped control channel mid-
+#: ``/swap`` — the bounded per-worker retries must still converge every
+#: registry.
 POINT_ROUTE = faults.register_point(
-    "pool.route", "one control fan-out / request-routing hop in the pool "
-    "process"
+    "pool.route", "one control fan-out hop in the pool process"
 )
-
-#: Control paths the pool answers itself (fan-out or merge) instead of
-#: routing to a single worker.
-_CONTROL_PATHS = {"/swap", "/ab", "/rollback", "/stats", "/metrics"}
 
 #: Per-worker attempts for one control fan-out before that worker is
 #: reported failed (it still converges later: restarts rehydrate from
@@ -133,17 +120,6 @@ def _resolve_loader(spec: str | None):
     return getattr(importlib.import_module(module_name), attr)
 
 
-def route_index(dataset: str, format_name: str, n_workers: int) -> int:
-    """Deterministic worker index for a ``(dataset, format)`` routing key.
-
-    CRC32, not ``hash()``: Python string hashing is salted per process,
-    and the router must pick the same worker across restarts so each
-    model's micro-batcher stays hot in one place.
-    """
-    key = f"{dataset}/{format_name}".encode("utf-8")
-    return zlib.crc32(key) % max(1, n_workers)
-
-
 # ----------------------------------------------------------------------
 # Worker process entry (module-level: must be picklable for spawn)
 # ----------------------------------------------------------------------
@@ -161,7 +137,6 @@ async def _worker_main(config: dict, conn) -> None:
         registry=registry,
         host=config["host"],
         port=config["port"],
-        reuse_port=config["reuse_port"],
         pool_manager_port=config["manager_port"],
         pool_worker_index=config["index"],
         **config["server_kwargs"],
@@ -179,11 +154,7 @@ async def _worker_main(config: dict, conn) -> None:
     # group on Ctrl-C, so workers treat it the same way.
     for signum in (signal.SIGTERM, signal.SIGINT):
         loop.add_signal_handler(signum, stop.set)
-    conn.send({
-        "serve_port": server.port,
-        "admin_port": server.admin_port,
-        "pid": os.getpid(),
-    })
+    conn.send({"admin_port": server.admin_port, "pid": os.getpid()})
     conn.close()
     faults.fire(POINT_WORKER, phase="ready", worker=config["index"])
 
@@ -212,7 +183,6 @@ class _Worker:
 
     index: int
     process: multiprocessing.process.BaseProcess | None = None
-    serve_port: int | None = None
     admin_port: int | None = None
     pid: int | None = None
     started_at: float = 0.0
@@ -243,7 +213,6 @@ class WorkerPool:
         host: str = "127.0.0.1",
         port: int = 8707,
         workers: int = 2,
-        mode: str = "reuseport",
         loader_spec: str | None = None,
         server_kwargs: dict | None = None,
         warmups: tuple = (),
@@ -256,16 +225,14 @@ class WorkerPool:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if mode not in ("reuseport", "router"):
-            raise ValueError("mode must be 'reuseport' or 'router'")
-        if mode == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-            # Platforms without SO_REUSEPORT (or with it compiled out)
-            # fall back to the router automatically.
-            mode = "router"
+        if not hasattr(socket, "SO_REUSEPORT"):
+            raise RuntimeError(
+                "the worker pool needs SO_REUSEPORT, which this platform "
+                "lacks; run the single-process 'serve' (no --workers-procs)"
+            )
         self.host = host
         self.port = port
         self.workers = int(workers)
-        self.mode = mode
         self.loader_spec = loader_spec
         self.server_kwargs = dict(server_kwargs or {})
         self.warmups = tuple(warmups)
@@ -280,7 +247,6 @@ class WorkerPool:
         self._workers: list[_Worker] = []
         self.manager_port: int | None = None
         self._manager_server: asyncio.base_events.Server | None = None
-        self._router_server: asyncio.base_events.Server | None = None
         self._placeholder: socket.socket | None = None
         self._supervisor: asyncio.Task | None = None
         self._stopping = False
@@ -288,32 +254,26 @@ class WorkerPool:
 
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
-        """Bind the control plane (and public port), spawn every worker,
-        and wait until all report ready."""
+        """Bind the control plane, reserve the public port, spawn every
+        worker, and wait until all report ready."""
         self._manager_server = await asyncio.start_server(
             self._handle_control, "127.0.0.1", 0
         )
         self.manager_port = (
             self._manager_server.sockets[0].getsockname()[1]
         )
-        if self.mode == "reuseport":
-            # The placeholder joins the reuseport group without ever
-            # listening: accepts only spread across *listening* sockets,
-            # so it serves no traffic — it resolves port=0 to one number
-            # all workers share and keeps the port ours between restarts.
-            self._placeholder = socket.socket(
-                socket.AF_INET, socket.SOCK_STREAM
-            )
-            self._placeholder.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-            self._placeholder.bind((self.host, self.port))
-            self.port = self._placeholder.getsockname()[1]
-        else:
-            self._router_server = await asyncio.start_server(
-                self._handle_router, self.host, self.port
-            )
-            self.port = self._router_server.sockets[0].getsockname()[1]
+        # The placeholder joins the reuseport group without ever
+        # listening: accepts only spread across *listening* sockets, so
+        # it serves no traffic — it resolves port=0 to one number all
+        # workers share and keeps the port ours between restarts.
+        self._placeholder = socket.socket(
+            socket.AF_INET, socket.SOCK_STREAM
+        )
+        self._placeholder.setsockopt(
+            socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
+        )
+        self._placeholder.bind((self.host, self.port))
+        self.port = self._placeholder.getsockname()[1]
         self._workers = [_Worker(index=i) for i in range(self.workers)]
         # Sequential spawn: model hydration is disk/CPU-bound and spawn
         # is memory-spiky; one at a time keeps small hosts stable, and
@@ -340,10 +300,9 @@ class WorkerPool:
         for worker in self._workers:
             if worker.process is not None:
                 await self._join(worker, timeout_s=self.drain_grace_s + 10.0)
-        for server in (self._manager_server, self._router_server):
-            if server is not None:
-                server.close()
-                await server.wait_closed()
+        if self._manager_server is not None:
+            self._manager_server.close()
+            await self._manager_server.wait_closed()
         if self._placeholder is not None:
             self._placeholder.close()
             self._placeholder = None
@@ -355,7 +314,7 @@ class WorkerPool:
         in-flight, exit 0), reap, respawn, wait ready, health-poll its
         admin listener.  Siblings keep serving throughout — under
         SO_REUSEPORT the kernel only assigns new connections to live
-        listeners, and the router fails over by index.
+        listeners.
         """
         events = []
         for worker in self._workers:
@@ -388,9 +347,8 @@ class WorkerPool:
     def _worker_config(self, index: int) -> dict:
         return {
             "index": index,
-            "host": self.host if self.mode == "reuseport" else "127.0.0.1",
-            "port": self.port if self.mode == "reuseport" else 0,
-            "reuse_port": self.mode == "reuseport",
+            "host": self.host,
+            "port": self.port,
             "manager_port": self.manager_port,
             "loader_spec": self.loader_spec,
             "server_kwargs": self.server_kwargs,
@@ -432,7 +390,6 @@ class WorkerPool:
                     ) from exc
                 continue
             parent_conn.close()
-            worker.serve_port = ready["serve_port"]
             worker.admin_port = ready["admin_port"]
             worker.pid = ready["pid"]
             worker.started_at = time.monotonic()
@@ -515,13 +472,7 @@ class WorkerPool:
 
     # -- the control plane ----------------------------------------------
     async def _handle_control(self, reader, writer) -> None:
-        await self._serve_http(reader, writer, self._control_dispatch)
-
-    async def _handle_router(self, reader, writer) -> None:
-        await self._serve_http(reader, writer, self._router_dispatch)
-
-    async def _serve_http(self, reader, writer, dispatch) -> None:
-        """Minimal keep-alive HTTP loop shared by manager and router."""
+        """Minimal keep-alive HTTP loop of the manager's control port."""
         try:
             while True:
                 try:
@@ -537,7 +488,7 @@ class WorkerPool:
                 close_conn = headers.get("connection", "").lower() == "close"
                 content_type = "application/json"
                 try:
-                    result = await dispatch(method, path, body)
+                    result = await self._control_dispatch(method, path, body)
                     status, payload = result[0], result[1]
                     if len(result) > 2:
                         content_type = result[2]
@@ -567,8 +518,7 @@ class WorkerPool:
         ]
 
     async def _call_worker(
-        self, worker: _Worker, method: str, path: str, body: bytes,
-        mode: str,
+        self, worker: _Worker, method: str, path: str, body: bytes
     ) -> tuple[int, bytes]:
         """One manager->worker exchange with bounded retries.
 
@@ -579,9 +529,7 @@ class WorkerPool:
         last_exc: Exception | None = None
         for attempt in range(1, _BROADCAST_ATTEMPTS + 1):
             try:
-                faults.fire(
-                    POINT_ROUTE, path=path, worker=worker.index, mode=mode,
-                )
+                faults.fire(POINT_ROUTE, path=path, worker=worker.index)
                 return await fetch(
                     "127.0.0.1", worker.admin_port, method, path, body,
                     timeout_s=60.0,
@@ -609,7 +557,7 @@ class WorkerPool:
         for worker in self._live_workers():
             try:
                 status, data = await self._call_worker(
-                    worker, method, path, body, mode="broadcast"
+                    worker, method, path, body
                 )
                 results.append((worker.index, status, data))
             except ConnectionError:
@@ -680,7 +628,7 @@ class WorkerPool:
         for worker in self._live_workers():
             try:
                 status, data = await self._call_worker(
-                    worker, method, path, body, mode="broadcast"
+                    worker, method, path, body
                 )
                 return status, data, "application/json"
             except ConnectionError:
@@ -692,7 +640,7 @@ class WorkerPool:
         for worker in self._live_workers():
             try:
                 status, data = await self._call_worker(
-                    worker, "GET", "/stats", b"", mode="broadcast"
+                    worker, "GET", "/stats", b""
                 )
             except ConnectionError:
                 continue
@@ -780,66 +728,11 @@ class WorkerPool:
 
     def _pool_info(self) -> dict:
         return {
-            "mode": self.mode,
             "workers": self.workers,
             "alive": sum(1 for w in self._workers if w.alive),
             "restarts": sum(w.restarts for w in self._workers),
             "uptime_s": round(time.monotonic() - self._started_at, 3),
         }
-
-    # -- router mode ----------------------------------------------------
-    async def _router_dispatch(self, method: str, path: str, body: bytes):
-        bare, _query = split_query(path)
-        if bare in _CONTROL_PATHS:
-            return await self._control_dispatch(method, path, body)
-        if bare == "/health":
-            if method != "GET":
-                raise HttpError(405, "use GET")
-            return 200, await self._aggregate_health()
-        live = self._live_workers()
-        if not live:
-            raise HttpError(503, "no live workers")
-        # Route by (dataset, format) so each model's batcher stays hot in
-        # exactly one worker; requests without a key (e.g. /models) pin
-        # to the first worker.  Bits are worker-agnostic, so a dead
-        # target fails over to the next live index harmlessly.
-        start = 0
-        if bare in ("/predict", "/warmup") and body:
-            try:
-                payload = json.loads(body)
-                dataset = payload.get("dataset", "")
-                format_name = payload.get("format") or ""
-                start = route_index(
-                    str(dataset), str(format_name), len(self._workers)
-                )
-            except (ValueError, UnicodeDecodeError):
-                pass  # the worker will answer 400 with the real message
-        indices = {w.index: w for w in live}
-        order = [
-            (start + offset) % len(self._workers)
-            for offset in range(len(self._workers))
-        ]
-        last_error: Exception | None = None
-        for index in order:
-            worker = indices.get(index)
-            if worker is None:
-                continue
-            try:
-                faults.fire(
-                    POINT_ROUTE, path=bare, worker=index, mode="route",
-                )
-                status, data = await fetch(
-                    "127.0.0.1", worker.serve_port, method, path, body,
-                    timeout_s=120.0,
-                )
-                return status, data, "application/json"
-            except (OSError, asyncio.TimeoutError, RuntimeError) as exc:
-                last_error = exc
-                continue
-        raise HttpError(
-            502,
-            f"no worker reachable: {type(last_error).__name__}: {last_error}",
-        )
 
 
 # ----------------------------------------------------------------------
@@ -944,7 +837,7 @@ async def run_pool_forever(**pool_kwargs) -> None:
         pass
     print(
         f"repro.serve pool listening on http://{pool.host}:{pool.port} "
-        f"({pool.workers} workers, mode={pool.mode}, "
+        f"({pool.workers} workers, "
         f"control=127.0.0.1:{pool.manager_port}; SIGHUP = rolling restart)",
         flush=True,
     )

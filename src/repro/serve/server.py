@@ -64,6 +64,7 @@ from .http import (
     write_response,
 )
 from .registry import ModelRegistry, ServedModel
+from .scheduler import SchedulerPolicy
 from .stats import ServeStats
 
 __all__ = ["InferenceServer", "ServerHandle", "start_in_thread", "serve_forever"]
@@ -131,26 +132,25 @@ class InferenceServer:
         canary_every: int = 8,
         shed_threshold: float | None = None,
         rollback_after: int = 1,
-        reuse_port: bool = False,
         pool_manager_port: int | None = None,
         pool_worker_index: int | None = None,
     ):
         # Fail at construction, not on the first request: these values are
         # otherwise only exercised when a batcher is built or a queue fills.
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
-        if queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
+        # Each batcher builds its own policy (the estimator is per model);
+        # this one only validates the batching knobs.
+        SchedulerPolicy(
+            max_batch=max_batch,
+            max_delay_ms=max_delay_ms,
+            queue_limit=queue_limit,
+            shed_threshold=shed_threshold,
+        )
         if executor_workers < 1:
             raise ValueError("executor_workers must be >= 1")
         if submit_timeout_s <= 0:
             raise ValueError("submit_timeout_s must be > 0")
         if canary_every < 0:
             raise ValueError("canary_every must be >= 0")
-        if shed_threshold is not None and not 0.0 < shed_threshold <= 1.0:
-            raise ValueError("shed_threshold must be in (0, 1]")
         if rollback_after < 0:
             raise ValueError("rollback_after must be >= 0")
         self.registry = registry if registry is not None else ModelRegistry()
@@ -177,9 +177,6 @@ class InferenceServer:
         self._closing = False
         self._started_at = time.monotonic()
         # -- pool-worker wiring (all inert in single-process mode) -------
-        # SO_REUSEPORT lets N worker processes bind the same public port;
-        # the kernel spreads accepts across them (see repro.serve.pool).
-        self.reuse_port = bool(reuse_port)
         # When pooled: the manager's loopback control port (forward
         # target) and this worker's index (observability).
         self.pool_manager_port = pool_manager_port
@@ -199,16 +196,17 @@ class InferenceServer:
         """Bind and start accepting connections (``port=0`` picks a free
         port; ``self.port`` is updated to the bound one).
 
-        With ``reuse_port`` the public socket binds ``SO_REUSEPORT`` so
-        sibling worker processes can share the port; a pooled worker
-        (``pool_manager_port`` set) additionally opens a loopback admin
-        listener on an ephemeral port — the manager's private address for
-        this worker, exempt from forwarding and from drain's
-        stop-accepting (the manager must still reach a draining worker).
+        A pooled worker (``pool_manager_port`` set) binds the public socket
+        with ``SO_REUSEPORT``, so its sibling processes share the port and
+        the kernel spreads accepts across them (see
+        :mod:`repro.serve.pool`).  It also opens a loopback admin listener
+        on an ephemeral port — the manager's private address for this
+        worker, exempt from forwarding and from drain's stop-accepting
+        (the manager must still reach a draining worker).
         """
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
-            reuse_port=self.reuse_port or None,
+            reuse_port=self.pool_manager_port is not None or None,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.pool_manager_port is not None:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro import formats
 from repro.serve.batcher import MicroBatcher, ServiceClosed
 from repro.serve.registry import build_served_model
+from repro.serve.scheduler import SchedulerPolicy
 from repro.serve.stats import ServeStats
 
 from .conftest import tiny_loader
@@ -441,71 +442,71 @@ class TestZeroRowRequests:
 
 
 class TestAdaptiveDelay:
-    """Unit tests for the EWMA-tuned effective coalescing window.  Pure
-    scheduling: none of these change any served bit (the bit-identity
-    suites above run with adaptation on, the default)."""
+    """The EWMA-tuned effective coalescing window.  The estimator cases
+    run on the :class:`SchedulerPolicy` every batcher owns (its other
+    branches are in ``test_scheduler.py``); the rest drive a live
+    batcher.  Pure scheduling: none of these change any served bit (the
+    bit-identity suites above run with adaptation on, the default)."""
 
-    def _batcher(self, **kw):
+    def _policy(self, **kw):
         kw.setdefault("max_batch", 8)
         kw.setdefault("max_delay_ms", 2.0)
-        return MicroBatcher(toy_model(), **kw)
+        return SchedulerPolicy(**kw)
 
     def test_cold_start_uses_full_window(self):
-        batcher = self._batcher()
-        assert batcher.effective_delay == batcher.max_delay
+        batcher = MicroBatcher(toy_model(), max_batch=8, max_delay_ms=2.0)
+        assert batcher.policy.effective_delay == batcher.policy.max_delay
         assert batcher.effective_delay_ms == 2.0
 
     def test_disabled_always_uses_full_window(self):
-        batcher = self._batcher(adaptive_delay=False)
-        batcher._arrival_gap_s = 1e-6  # would shrink the window if enabled
-        assert batcher.effective_delay == batcher.max_delay
+        policy = self._policy(adaptive_delay=False)
+        policy._arrival_gap_s = 1e-6  # would shrink the window if enabled
+        assert policy.effective_delay == policy.max_delay
 
     def test_dense_traffic_waits_expected_fill_time(self):
-        batcher = self._batcher()  # max_delay = 2ms, max_batch = 8
-        batcher._arrival_gap_s = 0.0001  # 0.1ms gaps
+        policy = self._policy()  # max_delay = 2ms, max_batch = 8
+        policy._arrival_gap_s = 0.0001  # 0.1ms gaps
         # expected fill: gap * (max_batch - 1) = 0.7ms < 2ms cap
-        assert batcher.effective_delay == pytest.approx(0.0007)
+        assert policy.effective_delay == pytest.approx(0.0007)
 
     def test_dense_traffic_capped_at_max_delay(self):
-        batcher = self._batcher()
-        batcher._arrival_gap_s = 0.0015  # fill time 10.5ms > 2ms cap
-        assert batcher.effective_delay == pytest.approx(0.002)
+        policy = self._policy()
+        policy._arrival_gap_s = 0.0015  # fill time 10.5ms > 2ms cap
+        assert policy.effective_delay == pytest.approx(0.002)
 
     def test_sparse_traffic_decays_toward_zero(self):
-        batcher = self._batcher()  # max_delay = 2ms
-        batcher._arrival_gap_s = 0.004  # 2x the window
-        assert batcher.effective_delay == pytest.approx(0.001)
-        batcher._arrival_gap_s = 0.2  # 100x the window
-        assert batcher.effective_delay == pytest.approx(0.00002)
+        policy = self._policy()  # max_delay = 2ms
+        policy._arrival_gap_s = 0.2  # 100x the window
+        assert policy.effective_delay == pytest.approx(0.00002)
 
     def test_continuous_at_the_window_boundary(self):
-        batcher = self._batcher()
-        batcher._arrival_gap_s = batcher.max_delay
+        policy = self._policy()
+        policy._arrival_gap_s = policy.max_delay
         # Both branches give max_delay * 1 here (dense side caps at
         # max_delay since gap * 7 > max_delay).
-        assert batcher.effective_delay == pytest.approx(batcher.max_delay)
+        assert policy.effective_delay == pytest.approx(policy.max_delay)
 
     def test_bounded_in_zero_to_max_delay(self):
-        batcher = self._batcher()
+        policy = self._policy()
         for gap in (0.0, 1e-9, 1e-4, 2e-3, 5e-3, 1.0, 1e3):
-            batcher._arrival_gap_s = gap
-            assert 0.0 <= batcher.effective_delay <= batcher.max_delay
+            policy._arrival_gap_s = gap
+            assert 0.0 <= policy.effective_delay <= policy.max_delay
 
     def test_ewma_update_tracks_arrivals(self):
-        batcher = self._batcher()
-        batcher._observe_arrival(10.0)
-        assert batcher._arrival_gap_s is None  # first arrival: no gap yet
-        batcher._observe_arrival(10.1)
-        assert batcher._arrival_gap_s == pytest.approx(0.1)
-        batcher._observe_arrival(10.3)
+        policy = self._policy()
+        policy.observe_arrival(10.0)
+        assert policy._arrival_gap_s is None  # first arrival: no gap yet
+        policy.observe_arrival(10.1)
+        assert policy._arrival_gap_s == pytest.approx(0.1)
+        policy.observe_arrival(10.3)
         # gap 0.2, EWMA with alpha 0.25: 0.1 + 0.25 * (0.2 - 0.1)
-        assert batcher._arrival_gap_s == pytest.approx(0.125)
+        assert policy._arrival_gap_s == pytest.approx(0.125)
 
     def test_ewma_clamps_clock_regression_to_zero_gap(self):
-        batcher = self._batcher()
-        batcher._observe_arrival(10.0)
-        batcher._observe_arrival(9.0)  # loop.time() never regresses, but
-        assert batcher._arrival_gap_s == 0.0  # the estimator shrugs it off
+        policy = self._policy()
+        policy.observe_arrival(10.0)
+        policy.observe_arrival(9.0)  # loop.time() never regresses, but
+        assert policy._arrival_gap_s == 0.0  # the estimator shrugs it off
 
     def test_sparse_traffic_flushes_much_faster_than_the_window(
         self, toy_inputs
@@ -522,7 +523,7 @@ class TestAdaptiveDelay:
             )
             # Seed the estimator with very sparse traffic: gaps 100x the
             # window -> effective delay 500ms * (500ms / 50s) = 5ms.
-            batcher._arrival_gap_s = 50.0
+            batcher.policy._arrival_gap_s = 50.0
             loop = asyncio.get_running_loop()
             start = loop.time()
             result = await batcher.submit(model.quantize(x))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import socket
 import threading
 import time
 import urllib.error
@@ -24,8 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import start_pool_in_thread
-from repro.serve.pool import route_index
+from repro.serve import WorkerPool
 from repro.serve.registry import build_served_model
 
 from .conftest import TOY_SPECS, tiny_loader
@@ -163,7 +163,6 @@ class TestControlPlane:
         assert [w["worker"] for w in workers] == [0, 1]
         # The pooled total is exactly the sum of the per-worker counts.
         assert sum(w["requests"] for w in workers) == after["requests"]
-        assert after["pool"]["mode"] == "reuseport"
         assert after["pool"]["alive"] == 2
 
     def test_metrics_aggregate_across_workers(self, pool):
@@ -186,6 +185,19 @@ class TestControlPlane:
         assert health["status"] == "ok"
         assert health["worker"] in (0, 1)
         assert health["draining"] is False
+
+    def test_health_on_control_port_is_pool_aggregate(self, pool):
+        status, health = _get(pool.pool.manager_port, "/health")
+        assert status == 200
+        assert health["status"] == "ok"
+        assert [w["worker"] for w in health["workers"]] == [0, 1]
+        assert health["pool"]["alive"] == 2
+
+
+def test_pool_refuses_platform_without_reuseport(monkeypatch):
+    monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+    with pytest.raises(RuntimeError, match="SO_REUSEPORT"):
+        WorkerPool(workers=2)
 
 
 class TestDrainAndRestart:
@@ -265,46 +277,3 @@ class TestDrainAndRestart:
         assert not errors, errors[:3]
         assert wrong == []
 
-
-class TestRouterMode:
-    @pytest.fixture(scope="class")
-    def router_pool(self):
-        handle = start_pool_in_thread(
-            port=0, workers=2, mode="router",
-            loader_spec="tests.serve.conftest:tiny_loader",
-            server_kwargs={"max_delay_ms": 1.0},
-            restart_backoff_s=0.1, seed=11,
-        )
-        yield handle
-        handle.stop()
-
-    def test_router_serves_bit_identical_and_routes_consistently(
-        self, router_pool, rng
-    ):
-        port = router_pool.pool.port
-        for dataset, format_name in MODEL_KEYS:
-            x = rng.normal(size=(3, _features(dataset)))
-            _, body = _predict(port, dataset, format_name, x)
-            assert body["predictions"] == (
-                direct_model(dataset, format_name).network.predict(x).tolist()
-            )
-        # Consistent routing: each key's requests all landed on the CRC32
-        # worker, so its micro-batcher stays hot in exactly one place.
-        _, stats = _get(port, "/stats")
-        per_worker = {w["worker"]: w["requests"] for w in stats["workers"]}
-        for dataset, format_name in MODEL_KEYS:
-            target = route_index(dataset, format_name, 2)
-            assert per_worker.get(target, 0) > 0
-        assert sum(per_worker.values()) == stats["requests"]
-
-    def test_router_aggregates_control_plane(self, router_pool):
-        status, body = _post(router_pool.pool.port, "/swap", {
-            "dataset": "toy", "format": "posit8_1",
-        })
-        assert status == 200
-        assert body["pool"]["applied"] == [0, 1]
-        status, health = _get(router_pool.pool.port, "/health")
-        assert status == 200
-        # Router /health is the pool aggregate, not one worker's view.
-        assert health["status"] == "ok"
-        assert len(health["workers"]) == 2
