@@ -10,8 +10,8 @@ PR 1 engine path (``dot_reference``); the ``network-fused`` group measures
 the same forward through the fused whole-network plan
 (``PositronNetwork.network_kernel()``), asserting bit-identity to the
 per-layer kernels, ``dot_reference``, and the scalar EMAC oracle in-run.
-``check_engine_regression.py`` guards CI against either speedup (compiled
-vs PR 1, fused vs compiled) regressing versus the committed
+``check_engine_regression.py`` guards CI against either speedup over the
+``dot_reference`` path (compiled, fused) regressing versus the committed
 ``engine_baseline.json`` entries.
 """
 
@@ -112,8 +112,8 @@ def _pr1_forward(net, X):
 @pytest.mark.benchmark(group="network-inference")
 def test_network_inference_compiled(benchmark, posit8_network):
     """Full-network exact inference through the compiled per-layer kernels
-    (``forward_patterns_layers`` — the PR 3/5 path the fused plan is
-    measured against)."""
+    (``forward_patterns_layers``: one-layer fused plans for single-word
+    layers, chained through pattern arrays and engine ReLU)."""
     net, X = posit8_network
     result = benchmark(net.forward_patterns_layers, X)
     assert result.shape == (NETWORK_BATCH, NETWORK_TOPOLOGY[-1])
@@ -151,7 +151,8 @@ def test_network_inference_fused(benchmark, posit8_network):
 @pytest.mark.benchmark(group="network-inference")
 def test_network_inference_pr1_baseline(benchmark, posit8_network):
     """The same forward on the retained PR 1 engine path (the baseline the
-    regression guard compares the compiled kernels against)."""
+    regression guard compares the compiled kernels and the fused plan
+    against)."""
     net, X = posit8_network
     result = benchmark(_pr1_forward, net, X)
     assert result.shape == (NETWORK_BATCH, NETWORK_TOPOLOGY[-1])

@@ -2,13 +2,20 @@
 """CI regression guard for the compiled- and fused-kernel throughput.
 
 Reads a ``pytest-benchmark`` JSON produced by ``bench_engine_throughput.py``
-and computes two full-network speedups, each from timings measured in the
-*same* run so the ratios are machine-independent:
+and computes two full-network speedups over the retained reference engine
+path (``dot_reference``), each from timings measured in the *same* run so the
+ratios are machine-independent:
 
-* compiled per-layer kernels over the retained PR 1 engine path;
-* the fused whole-network plan over the compiled per-layer kernels (the
-  fused bench asserts bit-identity to the per-layer kernels and the
-  scalar oracle in-run, so this ratio can never be bought with numerics).
+* the compiled per-layer kernels (``forward_patterns_layers``);
+* the fused whole-network plan (the fused bench asserts bit-identity to
+  the per-layer kernels, ``dot_reference`` and the scalar oracle in-run, so
+  this ratio can never be bought with numerics).
+
+Both are measured against ``dot_reference`` because the per-layer kernels of
+single-word layers are themselves one-layer fused plans: the two compiled
+paths share their code, so their ratio says little.  The fused floor
+(4.5x) is the product of the compiled floor (3x) and the former
+fused-over-compiled floor (1.5x).
 
 Fails when either speedup drops below its acceptance floor or more than
 30% under its committed baseline entry.
@@ -28,8 +35,8 @@ from pathlib import Path
 #: Acceptance floor: compiled full-network inference must stay >= 3x PR 1.
 SPEEDUP_FLOOR = 3.0
 
-#: Acceptance floor: the fused plan must stay >= 1.5x the per-layer kernels.
-FUSED_SPEEDUP_FLOOR = 1.5
+#: Acceptance floor: the fused plan must stay >= 4.5x the reference path.
+FUSED_SPEEDUP_FLOOR = 4.5
 
 #: Allowed fraction of the committed baseline speedup (30% drop tolerance).
 BASELINE_FRACTION = 0.7
@@ -56,8 +63,8 @@ def main(argv: list[str]) -> int:
     )
     baseline = json.loads(baseline_path.read_text())
 
-    compiled_mean = mean_seconds(report, COMPILED)
-    speedup = mean_seconds(report, REFERENCE) / compiled_mean
+    reference_mean = mean_seconds(report, REFERENCE)
+    speedup = reference_mean / mean_seconds(report, COMPILED)
     committed = float(baseline["network_inference_speedup"])
     required = max(SPEEDUP_FLOOR, BASELINE_FRACTION * committed)
     print(
@@ -69,14 +76,14 @@ def main(argv: list[str]) -> int:
         print("FAIL: compiled inference throughput regressed", file=sys.stderr)
         failed = True
 
-    fused_speedup = compiled_mean / mean_seconds(report, FUSED)
-    fused_committed = float(baseline["network_fused_speedup"])
+    fused_speedup = reference_mean / mean_seconds(report, FUSED)
+    fused_committed = float(baseline["network_fused_over_pr1_speedup"])
     fused_required = max(
         FUSED_SPEEDUP_FLOOR, BASELINE_FRACTION * fused_committed
     )
     print(
         f"fused-plan network speedup: {fused_speedup:.2f}x over the "
-        f"per-layer kernels (committed baseline {fused_committed:.2f}x, "
+        f"reference path (committed baseline {fused_committed:.2f}x, "
         f"required >= {fused_required:.2f}x)"
     )
     if fused_speedup < fused_required:

@@ -16,7 +16,7 @@ are directly comparable to Table II — and both now run *vectorized*:
 
 * the truncated EMAC is simply the network recompiled with
   ``rounding_mode="rtz"`` (:meth:`PositronNetwork.with_rounding_mode`), so
-  it rides the same stacked digit-plane GEMM kernels as the main sweeps;
+  it rides the same compiled kernels and fused plans as the main sweeps;
 * the naive MAC replaces its per-step ``quantize∘decode∘quantize`` with a
   registry-memoized pattern-domain **product table** — a ``(2**n, 2**n)``
   uint32 gather holding ``round(w · a)`` for every pattern pair — plus the
@@ -196,7 +196,7 @@ def truncated_forward(
 
     Exact accumulation is kept (this isolates the *rounding mode* choice);
     only the quire -> output conversion changes from RNE to round-toward-
-    zero.  Runs the same compiled digit-plane GEMM kernels as the main
+    zero.  Runs the same compiled kernels and fused plans as the main
     sweeps via :meth:`PositronNetwork.with_rounding_mode`; bit-identical to
     :func:`truncated_forward_reference`.
     """

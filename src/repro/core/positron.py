@@ -11,9 +11,11 @@ patterns directly through the format's monotone rank table (identical to
 argmaxing the decoded values, without the float64 decode).
 
 Each layer compiles its ``(weights, bias)`` into a reusable kernel at
-construction (:mod:`repro.formats.kernels`): weight digits are gathered and
-stacked once, so every ``forward`` is a single float64 GEMM per batch chunk
-plus the batched round-once output stage.  Whole-network calls
+construction (``NumericFormat.compile_layer``): a one-layer fused plan
+(:mod:`repro.formats.network`) when the layer's quire fits one int64 word,
+else the exact stacked digit-plane GEMM (:mod:`repro.formats.kernels`), so
+every ``forward`` is a GEMM or two per batch chunk plus the round-once
+output stage.  Whole-network calls
 (``forward_patterns`` / ``predict_patterns``) additionally ride a cached
 fused plan (:meth:`PositronNetwork.network_kernel`,
 :mod:`repro.formats.network`) that chains the layers through fused
@@ -23,7 +25,7 @@ fast paths — bit-identical to the layer-by-layer path, kept as
 
 Two execution paths produce identical bits:
 
-* :meth:`PositronLayer.forward` — the vectorized engine (production path);
+* :meth:`PositronLayer.forward` — the layer's compiled kernel;
 * :meth:`PositronLayer.forward_scalar` — one scalar EMAC per neuron, used to
   validate the engine and to emulate the hardware datapath one MAC per cycle.
 """
@@ -102,9 +104,9 @@ class PositronLayer:
     def recompile(self) -> None:
         """(Re)compile the layer kernel from the current parameters.
 
-        Parameters are compiled once here — gathering weight digits,
-        pruning dead planes, stacking the digit-plane GEMM, precomputing
-        bias limbs — and every :meth:`forward` reuses the kernel.  Call
+        Parameters are compiled once here (see
+        ``NumericFormat.compile_layer``) and every :meth:`forward` reuses
+        the kernel.  Call
         again after mutating ``weights``/``bias``/``rounding_mode`` in
         place.
         """

@@ -8,9 +8,9 @@ results with numpy:
   the format backend's decode tables) is decomposed once, per pattern, into
   a handful of signed base-``2**LIMB_BITS`` digits;
 * ``dot`` compiles ``(weights, bias)`` into a one-shot layer kernel
-  (:mod:`repro.formats.kernels`): the digit-plane convolution runs as a
-  single stacked float64 BLAS GEMM per batch chunk, with single-word and
-  plane-major fast paths when the weights allow them;
+  (``NumericFormat.compile_layer``): a one-layer fused plan
+  (:mod:`repro.formats.network`) when the quire fits one int64 word, else
+  the stacked digit-plane GEMM of :mod:`repro.formats.kernels`;
 * ``dot_reference`` retains the pre-compiled path — one float64 matmul per
   (l, m) digit-plane pair, ``limbs[b, o, k] = sum_{l+m=k} (A_m @ W_l.T)`` —
   as the in-tree baseline for bit-identity tests and the throughput
@@ -19,8 +19,8 @@ results with numpy:
   backend's :meth:`~repro.formats.NumericFormat.encode_from_quire_batch` —
   no per-sample Python loop anywhere on the hot path.
 
-The fixed-point engine is simpler: an int64 matmul is already exact at the
-paper's widths.
+The fixed-point engine compiles the same way; its one-layer plan is an
+int64 matmul, already exact at the paper's widths.
 
 Engines are obtained from the format registry (``engine_for``); the engine
 layer itself is format-agnostic and knows nothing about concrete number
@@ -49,12 +49,6 @@ __all__ = [
     "TableVectorEngine",
     "engine_for",
 ]
-
-#: Soft cap on the size of per-chunk intermediate tensors.  Seeded from the
-#: kernels module's canonical value; ``dot`` passes this module's (possibly
-#: monkeypatched) copy through at call time.
-_CHUNK_ELEMENTS = formats.kernels._CHUNK_ELEMENTS
-
 
 class VectorEngine(ABC):
     """Format-generic vectorized EMAC layer engine.
@@ -145,21 +139,12 @@ class FixedVectorEngine(VectorEngine):
         return self.fmt.n
 
     def dot(self, weights, activations, bias=None, *, rounding_mode="rne"):
-        """Accumulate exactly in int64, then shift-truncate-clip."""
-        weights = np.asarray(weights, dtype=np.uint32)
-        activations = np.asarray(activations, dtype=np.uint32)
-        _validate_shapes(weights, activations, bias)
-        w = fx.signed_array(self.fmt, weights)  # (out, in)
-        a = fx.signed_array(self.fmt, activations)  # (batch, in)
-        acc = a @ w.T  # (batch, out); exact: |terms| < 2**(2n-2), k < 2**20
-        if bias is not None:
-            b = fx.signed_array(self.fmt, np.asarray(bias, dtype=np.uint32))
-            acc = acc + (b << self.fmt.q)[None, :]
-        # floor for "rne" (the paper's Fig. 3 stage), magnitude-floor for
-        # "rtz" — one shared definition across backend/engine/kernel.
-        out = formats.arithmetic_shift_round(acc, self.fmt.q, rounding_mode)
-        out = np.clip(out, self.fmt.int_min, self.fmt.int_max)
-        return (out & self.fmt.mask).astype(np.uint32)
+        """Exact int64 accumulation, then shift-round-clip (Fig. 3), via a
+        one-shot compiled kernel."""
+        kernel = formats.backend_for(self.fmt).compile_layer(
+            weights, bias, rounding_mode=rounding_mode
+        )
+        return kernel(np.asarray(activations, dtype=np.uint32))
 
     def relu(self, patterns):
         """Negative patterns -> 0."""
@@ -214,17 +199,15 @@ class TableVectorEngine(VectorEngine):
     def dot(self, weights, activations, bias=None, *, rounding_mode="rne"):
         """Exact round-once dot products via a one-shot compiled kernel.
 
-        Compiles ``(weights, bias)`` into a stacked digit-plane GEMM kernel
-        (:mod:`repro.formats.kernels`) and applies it — one BLAS call per
-        batch chunk, bit-identical to :meth:`dot_reference`.  Callers that
-        reuse the same weights (layers, sweeps) should compile once via
-        ``backend.compile_layer`` instead.
+        Compiles ``(weights, bias)`` with ``backend.compile_layer`` (a
+        one-layer fused plan, or the stacked digit-plane GEMM for quires
+        wider than one int64 word) and applies it — bit-identical to
+        :meth:`dot_reference`.  Callers that reuse the same weights
+        (layers, sweeps) should compile once via ``backend.compile_layer``
+        instead.
         """
         kernel = self.backend.compile_layer(
-            weights,
-            bias,
-            chunk_elements=_CHUNK_ELEMENTS,
-            rounding_mode=rounding_mode,
+            weights, bias, rounding_mode=rounding_mode
         )
         return kernel(np.asarray(activations, dtype=np.uint32))
 
@@ -256,7 +239,7 @@ class TableVectorEngine(VectorEngine):
 
         bias_limbs = self._bias_limbs(bias, out_dim)
 
-        chunk = max(1, _CHUNK_ELEMENTS // max(1, out_dim * L))
+        chunk = max(1, formats.kernels._CHUNK_ELEMENTS // max(1, out_dim * L))
         out = np.empty((batch, out_dim), dtype=np.uint32)
         for start in range(0, batch, chunk):
             stop = min(batch, start + chunk)

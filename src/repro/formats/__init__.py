@@ -20,11 +20,9 @@ from .base import LimbTables, NumericFormat
 from .kernels import (
     DotLayerKernel,
     LayerKernel,
-    MatmulLayerKernel,
     TableLayerKernel,
     check_patterns,
     clear_scratch,
-    compile_layer,
     digit_planes,
     quire_bound_bits,
 )
@@ -64,9 +62,7 @@ __all__ = [
     "LimbTables",
     "LayerKernel",
     "TableLayerKernel",
-    "MatmulLayerKernel",
     "DotLayerKernel",
-    "compile_layer",
     "digit_planes",
     "check_patterns",
     "quire_bound_bits",

@@ -98,30 +98,26 @@ class NumericFormat(ABC):
         """Decode tables for the limb engine; ``None`` if not table-driven."""
         return None
 
-    def compile_layer(
-        self, weights, bias=None, *, chunk_elements=None, rounding_mode="rne"
-    ):
-        """Compile ``(weights, bias)`` into a reusable :class:`LayerKernel`.
+    def compile_layer(self, weights, bias=None, *, rounding_mode="rne"):
+        """Compile ``(weights, bias)`` into a reusable layer kernel.
 
-        Table-driven formats get the stacked digit-plane GEMM kernel (see
-        :mod:`repro.formats.kernels`); families without limb tables fall
-        back to a kernel that defers to their engine's ``dot`` — override
-        for a format-specific compiled path (fixed point does).
+        A layer with a single-word path (its quire bound fits one int64
+        word), and every fixed-point layer, compiles to a one-layer
+        :class:`~repro.formats.network.NetworkKernel` with an identity
+        activation; a wider table-format layer gets the exact limb
+        :class:`~repro.formats.kernels.TableLayerKernel`, and a family
+        without limb tables a kernel that defers to its engine's ``dot``.
         ``rounding_mode`` selects the round-once output stage: ``"rne"``
         (default) or ``"rtz"`` (round toward zero, the truncated-EMAC
-        ablation) — carried through every kernel fast path.
+        ablation).
         """
-        from .kernels import DotLayerKernel, TableLayerKernel
+        from .network import NetworkKernel
 
-        if self.limb_tables() is not None:
-            return TableLayerKernel(
-                self,
-                weights,
-                bias,
-                chunk_elements=chunk_elements,
-                rounding_mode=rounding_mode,
-            )
-        return DotLayerKernel(self, weights, bias, rounding_mode=rounding_mode)
+        plan = NetworkKernel(
+            self, [(weights, bias, "identity")], rounding_mode=rounding_mode
+        )
+        (step,) = plan.steps
+        return step.kernel if step.path == "layer" else plan
 
     def compile_network(
         self,
@@ -200,9 +196,9 @@ class NumericFormat(ABC):
     ) -> np.ndarray:
         """Round exact *single-word* quires (int64 ``words`` of quire LSBs).
 
-        The compiled layer kernels prove, per weight matrix, when every
-        possible quire fits one int64 (see :mod:`repro.formats.kernels`);
-        this entry point then skips limb normalization entirely.  The
+        The compiled plans prove, per weight matrix, when every possible
+        quire fits one int64 (see :mod:`repro.formats.network`); this entry
+        point then skips limb normalization entirely.  The
         default routes through :meth:`encode_from_quire_batch`; table
         backends override it with a direct sign/magnitude encode.
         """

@@ -47,28 +47,6 @@ one GEMM over the full fan-in, cast to int64 once.  Larger fan-ins fall
 back to fan-in splits sized ``2**(53 - 2*LIMB_BITS) // Lw``, accumulated in
 int64 — still one GEMM per split instead of ``planes**2``.
 
-Single-word and plane-major modes
----------------------------------
-Two further compile-time analyses exploit the *actual* weight patterns
-(both decided from an exact upper bound ``max_o Σ_i |w_oi| · max|a| +
-max|bias|`` on any reachable quire, with guard bits absorbing float64
-summation error):
-
-* **single-word** — when the bound fits int64 (``< 2**62``), the limb
-  tensor is Horner-combined into one int64 word per quire (every prefix is
-  bounded by the quire bound, so no overflow) and rounded by the backend's
-  ``encode_from_quire_words`` — limb normalization, the most expensive
-  stage of the generic path, is skipped entirely.  True for every trained
-  paper model; pathological weights (e.g. maxpos-heavy posit8_2 rows) fall
-  back to the stacked-GEMM + normalize path, bit-identically.
-* **plane-major** — when additionally ``w_bits + LIMB_BITS + log2(in) <=
-  53`` (the weights' full float64 values multiplied by a whole activation
-  digit keep every GEMM partial sum exact), the weights are not
-  digit-split at all: one ``(batch, in) @ (in, out)`` GEMM per live
-  activation plane against the exact float64 weight values, shifted and
-  summed into the word.  This is the steady-state path for all paper
-  topologies: ~2 GEMMs per layer, no staging transpose, no limb tensor.
-
 Scratch buffers (the staged activations, the GEMM output, and the int64
 limb tensor) come from a grow-only *per-thread* pool keyed by shape, so
 they are reused across batch chunks *and* across the layers of a network.
@@ -79,10 +57,14 @@ thread a kernel call never yields, so asyncio tasks cannot interleave
 mid-call either.  Cross-process parallelism lives in the process-pool
 runner.
 
-Kernels are obtained through :meth:`repro.formats.NumericFormat.compile_layer`
-(table-driven formats get the stacked GEMM; fixed point gets a precompiled
-signed int64 matmul); ``TableVectorEngine.dot`` wraps a one-shot kernel so
-the existing engine API is unchanged.
+Kernels are obtained through :meth:`repro.formats.NumericFormat.compile_layer`.
+A layer whose quire provably fits one int64 word (the bound of
+:func:`quire_bound_bits` is at most 62 bits) compiles to a one-layer fused
+plan (:class:`repro.formats.network.NetworkKernel`), and so does every
+fixed-point layer; :class:`TableLayerKernel` is the exact multi-limb path
+for the wider quires, and :class:`DotLayerKernel` serves custom families
+without limb tables.  The engines' ``dot`` wraps a one-shot compiled
+kernel, so the engine API is unchanged.
 """
 
 from __future__ import annotations
@@ -92,21 +74,21 @@ import threading
 import numpy as np
 
 from .base import LimbTables, NumericFormat
-from .quire import LIMB_BITS, arithmetic_shift_round, check_rounding_mode
+from .quire import LIMB_BITS, check_rounding_mode
 
 __all__ = [
     "LayerKernel",
     "TableLayerKernel",
-    "MatmulLayerKernel",
     "DotLayerKernel",
-    "compile_layer",
     "digit_planes",
     "check_patterns",
     "quire_bound_bits",
     "clear_scratch",
 ]
 
-#: Soft cap on the size of per-chunk intermediate tensors (elements).
+#: Soft cap on the size of per-chunk intermediate tensors (elements).  Read
+#: at call time by the limb kernel, the network plans and the engines'
+#: ``dot_reference``, so tests shrink it by monkeypatching.
 _CHUNK_ELEMENTS = 4_000_000
 
 #: Scratch pool byte budget; least-recently-used buffers are evicted.
@@ -220,15 +202,13 @@ def check_patterns(tables: LimbTables, patterns, what: str) -> np.ndarray:
     return p
 
 
-_check_patterns = check_patterns
-
-
 def quire_bound_bits(tables: LimbTables, wp, bp) -> int:
     """Bit length bounding any reachable |quire| for these weights.
 
     ``max_o sum_i |w_oi| * max_valid_a |a| + max_o |bias_o|`` in
     quire-LSB units, evaluated in float64 with two guard bits of
-    safety margin — an over-estimate only ever costs a wider GEMM.
+    safety margin — an over-estimate only ever sends a single-word layer
+    to the slower multi-limb kernel.
     """
     sig_abs = np.abs(tables.signed_sig).astype(np.float64)
     valid = ~tables.invalid
@@ -271,7 +251,8 @@ class LayerKernel:
     ``VectorEngine.dot(weights, activations, bias)``, with all per-call
     weight preparation hoisted into construction.  ``rounding_mode``
     selects the round-once output stage (``"rne"`` default, ``"rtz"``
-    round toward zero) and is honoured by every fast path.
+    round toward zero).  The one-layer plans ``compile_layer`` returns
+    for single-word layers meet the same callable contract.
     """
 
     out_features: int
@@ -298,9 +279,11 @@ class LayerKernel:
 class TableLayerKernel(LayerKernel):
     """Stacked digit-plane GEMM kernel for table-driven formats.
 
-    See the module docstring for the memory layout and exactness bound.
-    ``chunk_elements`` overrides the batch-chunk soft cap (``None`` reads
-    the module default at call time, so tests can monkeypatch it).
+    The exact multi-limb path: one GEMM per fan-in split, then the
+    backend's ``encode_from_quire_batch`` rounds the limb tensor once.
+    ``compile_layer`` hands it out for layers whose quire bound exceeds
+    one int64 word; see the module docstring for the memory layout and
+    exactness bound.
     """
 
     def __init__(
@@ -309,7 +292,6 @@ class TableLayerKernel(LayerKernel):
         weights: np.ndarray,
         bias: np.ndarray | None = None,
         *,
-        chunk_elements: int | None = None,
         rounding_mode: str = "rne",
     ):
         tables = backend.limb_tables()
@@ -321,12 +303,11 @@ class TableLayerKernel(LayerKernel):
         self.backend = backend
         self.rounding_mode = check_rounding_mode(rounding_mode)
         self._tables = tables
-        self._chunk_elements = chunk_elements
         self._num_limbs = (tables.max_shift + max_term_bits) // LIMB_BITS + 2
 
         weights, bias = _check_weights(weights, bias)
-        wp = _check_patterns(tables, weights, "weights")
-        bp = None if bias is None else _check_patterns(tables, bias, "bias")
+        wp = check_patterns(tables, weights, "weights")
+        bp = None if bias is None else check_patterns(tables, bias, "bias")
         self.out_features, self.in_features = wp.shape
         if self.in_features > 1 << 20:
             raise ValueError(f"fan-in {self.in_features} overflows int64 limb sums")
@@ -340,54 +321,8 @@ class TableLayerKernel(LayerKernel):
         self._act_digits = np.ascontiguousarray(digits[:, live_a])
         self._live_planes = len(live_a)
 
-        # Single-word analysis: an exact upper bound (guard bits absorb the
-        # float64 summation error) on any reachable |quire|.  When it fits
-        # int64, the kernel skips limb normalization entirely.
-        bound_bits = self._quire_bound_bits(tables, wp, bp)
-        self._word_mode = bound_bits <= 62
-
-        # Plane-major analysis: with |w| narrow enough that a full-fan-in
-        # product row stays under 2**53 even against a whole activation
-        # digit (w_bits + LIMB_BITS + log2(in) <= 53), the weights need no
-        # digit split at all — one GEMM per live activation plane against
-        # the exact float64 weight values.
-        w_vals = np.ldexp(
-            tables.signed_sig[wp].astype(np.float64), tables.shift[wp]
-        )
-        w_bits = 0 if not wp.size or not np.abs(w_vals).max() else int(
-            np.frexp(np.abs(w_vals).max())[1]
-        )
-        in_bits = max(1, self.in_features).bit_length()
-        self._plane_major = (
-            self._word_mode and w_bits + LIMB_BITS + in_bits <= 53
-        )
-
-        out_dim = self.out_features
-        self._bias_limbs = None
-        self._bias_words = None
-        if bp is not None and self._word_mode:
-            t = tables
-            self._bias_words = t.signed_sig[bp] << (
-                t.shift[bp] + t.bias_extra_shift
-            )
-        if self._plane_major:
-            self._w_t = np.ascontiguousarray(w_vals.T)  # (in, out) exact
-            self._plane_tables = [
-                np.ascontiguousarray(digits[:, m]) for m in live_a
-            ]
-            self._plane_shifts = [LIMB_BITS * m for m in live_a]
-            self._splits = self._blocks = None
-            self._gemm_limbs = 1
-            return
-
-        L = (
-            max(1, -(-bound_bits // LIMB_BITS))
-            if self._word_mode
-            else self._num_limbs
-        )
-        self._gemm_limbs = L
-
         # Fan-in splits keeping every GEMM exact in float64 (module bound).
+        out_dim, L = self.out_features, self._num_limbs
         max_products = max(1, (1 << (53 - 2 * LIMB_BITS)) // max(1, len(live_w)))
         if self.in_features <= max_products:
             splits = [(0, self.in_features)]  # no-chunk int64 fast path
@@ -409,10 +344,7 @@ class TableLayerKernel(LayerKernel):
             )
         self._splits = splits
         self._blocks = blocks
-        if bp is not None and not self._word_mode:
-            self._bias_limbs = self._compile_bias(bp)
-
-    _quire_bound_bits = staticmethod(quire_bound_bits)
+        self._bias_limbs = None if bp is None else self._compile_bias(bp)
 
     def _compile_bias(self, bp: np.ndarray) -> np.ndarray:
         """Each bias pattern as quire-aligned limbs, shape (out, L)."""
@@ -425,48 +357,15 @@ class TableLayerKernel(LayerKernel):
         limbs[np.arange(self.out_features), idx] = sig << rem
         return limbs
 
-    @property
-    def num_limbs(self) -> int:
-        """Limbs per quire in this kernel's accumulation tensors."""
-        return self._num_limbs
-
     def __call__(self, activations: np.ndarray) -> np.ndarray:
         activations = self._check_activations(activations)
-        ap = _check_patterns(self._tables, activations, "activations")
+        ap = check_patterns(self._tables, activations, "activations")
         batch = ap.shape[0]
-        out_dim, L = self.out_features, self._gemm_limbs
+        out_dim, L = self.out_features, self._num_limbs
         out = np.empty((batch, out_dim), dtype=np.uint32)
-        if batch == 0:
-            return out
-        cap = (
-            self._chunk_elements
-            if self._chunk_elements is not None
-            else _CHUNK_ELEMENTS
-        )
-        scratch = _scratch()
-        if self._plane_major:
-            chunk = max(1, cap // max(1, self.in_features + out_dim))
-            for start in range(0, batch, chunk):
-                stop = min(batch, start + chunk)
-                rows = stop - start
-                apc = ap[start:stop]
-                words = scratch.get((rows, out_dim), np.int64, "words")
-                words.fill(0)
-                shifted = scratch.get((rows, out_dim), np.int64, "shifted")
-                prod = scratch.get((rows, out_dim), np.float64, "prod")
-                for table, shift in zip(self._plane_tables, self._plane_shifts):
-                    np.matmul(table[apc], self._w_t, out=prod)
-                    shifted[:] = prod  # exact: integers < 2**53
-                    shifted <<= shift
-                    words += shifted
-                if self._bias_words is not None:
-                    words += self._bias_words
-                out[start:stop] = self.backend.encode_from_quire_words(
-                    words, mode=self.rounding_mode
-                )
-            return out
-        chunk = max(1, cap // max(1, out_dim * L))
+        chunk = max(1, _CHUNK_ELEMENTS // max(1, out_dim * L))
         fast = len(self._splits) == 1
+        scratch = _scratch()
         for start in range(0, batch, chunk):
             stop = min(batch, start + chunk)
             rows = stop - start
@@ -490,79 +389,20 @@ class TableLayerKernel(LayerKernel):
                     # where a float64-intermediate add would lose low bits.
                     limbs += prod.astype(np.int64)
             limb3 = limbs.reshape(rows, out_dim, L)
-            if self._word_mode:
-                # Horner-combine the limbs into one int64 word per quire;
-                # every prefix is bounded by the compile-time |quire| bound.
-                words = scratch.get((rows, out_dim), np.int64, "words")
-                words[:] = limb3[..., L - 1]
-                for k in range(L - 2, -1, -1):
-                    words <<= LIMB_BITS
-                    words += limb3[..., k]
-                if self._bias_words is not None:
-                    words += self._bias_words
-                out[start:stop] = self.backend.encode_from_quire_words(
-                    words, mode=self.rounding_mode
-                )
-            else:
-                if self._bias_limbs is not None:
-                    limb3 += self._bias_limbs
-                out[start:stop] = self.backend.encode_from_quire_batch(
-                    limb3, mode=self.rounding_mode
-                )
+            if self._bias_limbs is not None:
+                limb3 += self._bias_limbs
+            out[start:stop] = self.backend.encode_from_quire_batch(
+                limb3, mode=self.rounding_mode
+            )
         return out
-
-
-class MatmulLayerKernel(LayerKernel):
-    """Precompiled exact int64 matmul kernel (fixed point, Fig. 3).
-
-    Fixed point needs no digit planes — patterns *are* scaled integers and
-    an int64 matmul is exact at the supported widths — but compiling still
-    hoists the signed reinterpretation of weights and the ``<< q`` bias
-    alignment out of the per-call path.
-    """
-
-    def __init__(
-        self,
-        backend: NumericFormat,
-        weights,
-        bias=None,
-        *,
-        rounding_mode: str = "rne",
-    ):
-        from ..fixedpoint import codec as fx
-
-        fmt = backend.fmt
-        if fmt.n > 16:
-            raise ValueError("vector engine supports n <= 16")
-        self.backend = backend
-        self.fmt = fmt
-        self.rounding_mode = check_rounding_mode(rounding_mode)
-        self._fx = fx
-        weights, bias = _check_weights(weights, bias)
-        self.out_features, self.in_features = weights.shape
-        self._w_t = np.ascontiguousarray(fx.signed_array(fmt, weights).T)
-        self._bias_term = (
-            None if bias is None else fx.signed_array(fmt, bias) << fmt.q
-        )
-
-    def __call__(self, activations: np.ndarray) -> np.ndarray:
-        activations = self._check_activations(activations)
-        fmt = self.fmt
-        a = self._fx.signed_array(fmt, activations)  # (batch, in)
-        acc = a @ self._w_t  # exact: |terms| < 2**(2n-2), k < 2**20
-        if self._bias_term is not None:
-            acc = acc + self._bias_term[None, :]
-        out = arithmetic_shift_round(acc, fmt.q, self.rounding_mode)
-        out = np.clip(out, fmt.int_min, fmt.int_max)
-        return (out & fmt.mask).astype(np.uint32)
 
 
 class DotLayerKernel(LayerKernel):
     """Fallback kernel: defer to an engine's ``dot`` per call.
 
-    Used only by custom registered families that neither expose limb
-    tables nor override :meth:`NumericFormat.compile_layer`; it preserves
-    the compile-then-run API without assuming anything about the engine.
+    Used only by custom registered families without limb tables; it
+    preserves the compile-then-run API without assuming anything about
+    the engine.
     """
 
     def __init__(
@@ -593,17 +433,3 @@ class DotLayerKernel(LayerKernel):
             self._bias,
             rounding_mode=self.rounding_mode,
         )
-
-
-def compile_layer(
-    backend: NumericFormat,
-    weights: np.ndarray,
-    bias: np.ndarray | None = None,
-    *,
-    chunk_elements: int | None = None,
-    rounding_mode: str = "rne",
-) -> LayerKernel:
-    """Compile ``(weights, bias)`` into the backend's best layer kernel."""
-    return backend.compile_layer(
-        weights, bias, chunk_elements=chunk_elements, rounding_mode=rounding_mode
-    )

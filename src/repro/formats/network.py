@@ -1,13 +1,12 @@
 """Fused-epilogue network kernels: whole-network compiled inference plans.
 
-The per-layer kernels (:mod:`repro.formats.kernels`) already collapse each
-layer's exact accumulation to one GEMM, but a network forward still pays a
-full generic epilogue at every layer boundary: the quire words run through
-the ~30-operation ``encode_from_quire_words`` rounding chain, ReLU is a
-separate gather pass, the next layer re-validates every activation pattern
-(three whole-tensor reductions) and re-gathers digit planes from scratch.
-Profiling a paper-sized posit8 network shows that epilogue machinery — not
-the GEMMs — dominates the forward.
+Each layer's exact accumulation is one GEMM (or one per live digit plane),
+but a generic epilogue at every layer boundary costs more: the quire words
+run through the ~30-operation ``encode_from_quire_words`` rounding chain,
+ReLU is a separate gather pass, the next layer re-validates every
+activation pattern (three whole-tensor reductions) and re-gathers its
+operands from scratch.  Profiling a paper-sized posit8 network shows that
+epilogue machinery — not the GEMMs — dominates the forward.
 
 A :class:`NetworkKernel` compiles a whole layer stack into one chained
 plan in which intermediate activations never materialize beyond their
@@ -41,8 +40,8 @@ Each layer's *words computation* is a pure function of the layer, so every
 process compiles the same plan for the same model:
 
 ``plane``
-    The per-layer kernels' plane-major stage: one float64 BLAS GEMM per
-    live activation digit plane against the exact float64 weight values.
+    One float64 BLAS GEMM per live activation digit plane against the
+    exact float64 weight values.
     Eligible when the layer is single-word and the weights are narrow
     (``w_bits + LIMB_BITS + log2(in) <= 53``).
 ``int64``
@@ -52,9 +51,10 @@ process compiles the same plan for the same model:
     layer's quire bound fits int64: every product and every partial sum
     is bounded by ``max_row sum|w| * max|a| < 2**62``.
 ``layer``
-    Fallback: the compiled per-layer kernel plus a composed epilogue
-    gather.  Used when the quire bound exceeds int64 and for custom
-    formats without limb tables.  Fixed point compiles to its native int64
+    Fallback: the exact limb :class:`~repro.formats.kernels.TableLayerKernel`
+    plus a composed epilogue gather, used when the quire bound exceeds
+    int64; custom formats without limb tables run their
+    ``DotLayerKernel`` here.  Fixed point compiles to its native int64
     matmul with the shift-round epilogue inlined (its clipped signed
     outputs *are* monotone ranks, so the fused readout is a plain argmax).
 
@@ -66,11 +66,15 @@ single-word quire bound takes ``layer``.
 
 Exactness: both single-word paths compute the same exact int64 quire word,
 then share the same oracle-derived round table — so every path is
-bit-identical to the others, to the per-layer kernels, and to the scalar
-EMACs (property-tested across every registered format, both rounding
-modes, and every forced path in ``tests/formats/test_network_kernel.py``).
+bit-identical to the others, to the limb kernel, to the engines'
+``dot_reference`` nest, and to the scalar EMACs (property-tested across
+every registered format, both rounding modes, and every forced path in
+``tests/formats/test_network_kernel.py``).
 
-Obtain plans through :meth:`repro.formats.NumericFormat.compile_network`
+A one-layer plan is also what :meth:`~repro.formats.NumericFormat.compile_layer`
+returns for a single-word layer (and for every fixed-point layer), so the
+per-layer path and the fused plans share one executor.  Obtain plans
+through :meth:`repro.formats.NumericFormat.compile_network`
 (or ``PositronNetwork.network_kernel()``, which recompiles automatically
 when a layer is recompiled); ``explain()`` reports the per-layer path, the
 rule's inputs, and the compiled-table footprint — surfaced as
@@ -83,8 +87,10 @@ import numpy as np
 
 from . import kernels as _kernels
 from .base import NumericFormat
+from .fixed_backend import FixedBackend
 from .kernels import (
-    MatmulLayerKernel,
+    DotLayerKernel,
+    TableLayerKernel,
     _check_weights,
     _scratch,
     check_patterns,
@@ -321,7 +327,7 @@ class _TableStep:
 
     ``wants`` names the operand representation the step consumes —
     ``"aval"`` (exact int64 aligned values) for the int64 matmul,
-    ``"pattern"`` (int64 pattern indices) for the plane-major path.  The
+    ``"pattern"`` (int64 pattern indices) for the plane path.  The
     *previous* step's epilogue produces it
     directly; :meth:`finalize` composes this step's own epilogue table the
     same way for its consumer.
@@ -464,10 +470,11 @@ class _FixedStep:
 
 
 class _LayerStep:
-    """Fallback: the compiled per-layer kernel plus a composed epilogue LUT.
+    """Fallback: a layer kernel plus a composed epilogue LUT.
 
     Covers layers whose quire bound exceeds int64 (no single-word round
-    table) and custom formats without limb tables.  Still fuses
+    table; the kernel is a ``TableLayerKernel``) and custom formats
+    without limb tables (a ``DotLayerKernel``).  Still fuses
     ReLU-and-operand conversion into one pattern-indexed gather.
     """
 
@@ -540,6 +547,10 @@ class NetworkKernel:
     ``force_path`` pins every layer to one words-computation path (testing
     hook; raises if a layer is not eligible for it); by default each
     layer's path follows the shape rule of :func:`choose_path`.
+    ``layer_kernels`` (one compiled kernel or ``None`` per layer) lets
+    ``layer`` steps reuse an already compiled kernel: a table format's
+    ``TableLayerKernel`` (a one-layer plan is not reused; a limb kernel
+    is built instead), or any kernel of a family without limb tables.
     """
 
     def __init__(
@@ -596,28 +607,25 @@ class NetworkKernel:
     def _plan_layer(self, weights, bias, activation, kernel, force_path):
         backend, tables = self.backend, self._tables
         mode = self.rounding_mode
-
-        def compiled():
-            return kernel if kernel is not None else backend.compile_layer(
-                weights, bias, rounding_mode=mode
-            )
-
+        if isinstance(backend, FixedBackend):
+            if force_path not in (None, "int64"):
+                raise ValueError(
+                    f"fixed point supports only the int64 path, "
+                    f"not {force_path!r}"
+                )
+            step = _FixedStep(backend, weights, bias, activation, mode)
+            return step, {"path": "int64", "eligible": ("int64",)}
         if tables is None:
-            probe = compiled()
-            if isinstance(probe, MatmulLayerKernel):
-                if force_path not in (None, "int64"):
-                    raise ValueError(
-                        f"fixed point supports only the int64 path, "
-                        f"not {force_path!r}"
-                    )
-                step = _FixedStep(backend, weights, bias, activation, mode)
-                return step, {"path": "int64", "eligible": ("int64",)}
             if force_path not in (None, "layer"):
                 raise ValueError(
                     f"{backend.name} has no limb tables; only the layer "
                     f"path is available"
                 )
-            step = _LayerStep(backend, probe, activation)
+            if kernel is None:
+                kernel = DotLayerKernel(
+                    backend, weights, bias, rounding_mode=mode
+                )
+            step = _LayerStep(backend, kernel, activation)
             return step, {"path": "layer", "eligible": ("layer",)}
 
         wp = check_patterns(tables, weights, "weights")
@@ -634,7 +642,13 @@ class NetworkKernel:
                 f"{force_path!r} path (eligible: {eligible})"
             )
         if chosen == "layer":
-            step = _LayerStep(backend, compiled(), activation)
+            # A single-word layer's own compiled kernel is a one-layer plan;
+            # the forced layer path still runs the exact limb kernel.
+            if not isinstance(kernel, TableLayerKernel):
+                kernel = TableLayerKernel(
+                    backend, weights, bias, rounding_mode=mode
+                )
+            step = _LayerStep(backend, kernel, activation)
         else:
             step = _TableStep(backend, tables, wp, bp, activation, mode, chosen)
         return step, {
@@ -717,6 +731,8 @@ class NetworkKernel:
     def forward(self, patterns) -> np.ndarray:
         """Exact fused forward: ``(batch, in)`` -> ``(batch, out)`` patterns."""
         return self._run(patterns, readout=False)
+
+    __call__ = forward  # the LayerKernel contract: activations -> patterns
 
     def predict(self, patterns) -> np.ndarray:
         """Fused rank-argmax class labels for ``(batch, in)`` patterns."""

@@ -8,7 +8,7 @@ request (or an explicit ``/warmup``) for a ``(dataset, format_name)`` pair:
    content-addressed artifact store by spec hash, or trains once and
    persists it (see ``docs/running-experiments.md``);
 2. quantizes the parameters into a :class:`~repro.core.positron.
-   PositronNetwork`, whose layers compile their digit-plane GEMM kernels at
+   PositronNetwork`, whose layers compile their kernels at
    construction against the registry-memoized format backend — so decode
    tables, digit planes, and rank tables are shared with every other
    consumer in the process;

@@ -1,11 +1,15 @@
 """Bit-identity of the compiled layer kernels.
 
-Every registered format's compiled kernel (stacked digit-plane GEMM,
-plane-major single-word, and the precompiled fixed matmul) must reproduce
-``dot_reference`` — the retained PR 1 digit-plane nest — and the scalar
-EMACs, bit for bit, over random shapes including empty batches, fan-in 1,
-chunk-boundary-crossing batches, and all-zero weight planes; plus a
-network-level check against the golden-pinned iris parent model.
+Every registered format's compiled kernel (a one-layer fused plan for
+single-word layers and fixed point, the stacked digit-plane GEMM
+``TableLayerKernel`` for wider quires) must reproduce ``dot_reference`` —
+the retained reference digit-plane nest — and the scalar EMACs, bit for
+bit, over random shapes including empty batches, fan-in 1,
+chunk-boundary-crossing batches, and all-zero weight planes.
+``TableLayerKernel`` is also checked directly on every format and both
+rounding modes, including the small-bound layers the default compile sends
+to plans; plus the compile rule itself and a network-level check against
+the golden-pinned iris parent model.
 """
 
 import numpy as np
@@ -16,7 +20,9 @@ from hypothesis import strategies as st
 from repro import formats
 from repro.core import engine_for, scalar_emac_for
 from repro.core.positron import PositronNetwork
-from repro.fixedpoint import fixed_format
+from repro.formats.kernels import quire_bound_bits
+from repro.formats.network import NetworkKernel
+from repro.fixedpoint import FixedFormat, fixed_format
 from repro.floatp import float_format
 from repro.posit.format import standard_format
 
@@ -121,13 +127,16 @@ class TestKernelBitIdentity:
         kernel = formats.backend_for(any_fmt).compile_layer(W, B)
         assert np.array_equal(kernel(X), engine_for(any_fmt).dot_reference(W, X, B))
 
-    def test_chunk_boundary_crossing(self, any_fmt, rng):
+    def test_chunk_boundary_crossing(self, any_fmt, rng, monkeypatch):
         """Results must not depend on the batch-chunk size."""
+        from repro.formats import kernels as kmod
+
         W, X, B = random_layer(any_fmt, rng, 3, 9, 23, True)
         backend = formats.backend_for(any_fmt)
         full = backend.compile_layer(W, B)(X)
         for cap in (1, 30, 100):
-            chunked = backend.compile_layer(W, B, chunk_elements=cap)(X)
+            monkeypatch.setattr(kmod, "_CHUNK_ELEMENTS", cap)
+            chunked = backend.compile_layer(W, B)(X)
             assert np.array_equal(full, chunked), cap
 
     def test_chunk_cap_monkeypatched(self, rng, monkeypatch):
@@ -165,8 +174,8 @@ class TestKernelBitIdentity:
         assert np.array_equal(kernel(X), engine.dot_reference(W, X, B))
 
     def test_extreme_weights_fall_back_bit_identically(self, rng):
-        """maxpos-heavy weights leave the single-word fast path; the
-        stacked-GEMM fallbacks must stay bit-identical."""
+        """maxpos-heavy weights leave the single-word plans; the
+        stacked-GEMM limb kernel must stay bit-identical."""
         fmt = standard_format(8, 2)
         backend = formats.backend_for(fmt)
         hi = 1 << fmt.n
@@ -175,12 +184,13 @@ class TestKernelBitIdentity:
         X = scrub(fmt, rng.integers(0, hi, size=(6, 10), dtype=np.uint32))
         B = scrub(fmt, rng.integers(0, hi, size=(4,), dtype=np.uint32))
         kernel = backend.compile_layer(W, B)
-        assert not kernel._word_mode  # posit8_2's range forces the limb path
+        # posit8_2's range forces the limb path
+        assert isinstance(kernel, formats.TableLayerKernel)
         assert np.array_equal(kernel(X), engine_for(fmt).dot_reference(W, X, B))
 
-    def test_stacked_word_mode_without_plane_major(self):
+    def test_single_word_layer_without_plane_takes_int64(self):
         """A near-maxpos posit8_1 row keeps the quire inside one int64 but
-        is too wide for unsplit weights: the stacked word branch runs."""
+        is too wide for the plane path: the one-layer plan runs int64."""
         fmt = standard_format(8, 1)
         backend = formats.backend_for(fmt)
         W = np.zeros((2, 40), dtype=np.uint32)
@@ -188,7 +198,9 @@ class TestKernelBitIdentity:
         rng = np.random.default_rng(9)
         X = scrub(fmt, rng.integers(0, 256, size=(20, 40), dtype=np.uint32))
         kernel = backend.compile_layer(W, None)
-        assert kernel._word_mode and not kernel._plane_major
+        assert isinstance(kernel, NetworkKernel)
+        assert kernel.explain()[0]["eligible"] == ["int64", "layer"]
+        assert kernel.explain()[0]["path"] == "int64"
         assert np.array_equal(kernel(X), engine_for(fmt).dot_reference(W, X))
 
     def test_fan_in_split_accumulation(self, rng):
@@ -200,7 +212,7 @@ class TestKernelBitIdentity:
         W = scrub(fmt, rng.integers(0, 256, size=(2, in_dim), dtype=np.uint32))
         X = scrub(fmt, rng.integers(0, 256, size=(3, in_dim), dtype=np.uint32))
         B = scrub(fmt, rng.integers(0, 256, size=(2,), dtype=np.uint32))
-        kernel = backend.compile_layer(W, B)
+        kernel = formats.TableLayerKernel(backend, W, B)
         assert len(kernel._splits) > 1
         assert np.array_equal(kernel(X), engine_for(fmt).dot_reference(W, X, B))
         fmt = standard_format(8, 1)
@@ -219,6 +231,157 @@ class TestKernelBitIdentity:
         )
         with pytest.raises(ValueError):
             kernel(np.zeros((2, 4), dtype=np.uint32))
+
+
+#: Every table format the compile rule is checked on: the registered
+#: sweep formats plus 12/16-bit posits and a 12-bit float.
+TABLE_NAMES = [
+    name
+    for name in formats.available()
+    if formats.get(name).limb_tables() is not None
+] + ["posit12_1", "posit16_1", "float4_7"]
+
+
+def scalar_oracle(fmt, W, X, B, mode):
+    """One scalar EMAC per (sample, neuron), rounded once by ``mode``."""
+    backend = formats.backend_for(fmt)
+    emac = scalar_emac_for(fmt)
+    out = np.zeros((X.shape[0], W.shape[0]), dtype=np.uint32)
+    for s in range(X.shape[0]):
+        for o in range(W.shape[0]):
+            emac.reset(None if B is None else int(B[o]))
+            for w, a in zip(W[o], X[s]):
+                emac.step(int(w), int(a))
+            out[s, o] = (
+                emac.result()
+                if mode == "rne"
+                else backend.truncate_scalar(emac.accumulator_value())
+            )
+    return out
+
+
+def small_bound_layer(fmt, rng, out_dim, in_dim, batch):
+    """Weights in {-minpos, 0, +minpos} and a zero bias: a quire bound far
+    below one int64 word for every table format."""
+    backend = formats.backend_for(fmt)
+    hi = 1 << fmt.n
+    tiny = np.abs(backend.decode_batch(np.arange(hi, dtype=np.uint32)))
+    tiny = tiny[np.isfinite(tiny) & (tiny > 0)].min()
+    W = backend.quantize_batch(
+        tiny * rng.integers(-1, 2, size=(out_dim, in_dim)).astype(np.float64)
+    )
+    B = backend.quantize_batch(np.zeros(out_dim))
+    X = scrub(fmt, rng.integers(0, hi, size=(batch, in_dim), dtype=np.uint32))
+    return W, X, B
+
+
+def _tableless(fmt):
+    """A custom family without limb tables (fixed point under another name)."""
+    fixed = formats.FixedBackend(fmt)
+    delegated = (
+        "quantize_batch", "decode_batch", "relu_batch",
+        "encode_from_quire_batch", "encode_from_quire_scalar",
+        "truncate_scalar", "make_engine", "make_scalar_emac",
+    )
+    ns = {
+        name: (lambda self, *a, _n=name, **k: getattr(fixed, _n)(*a, **k))
+        for name in delegated
+    }
+    ns.update(
+        family="tableless",
+        name="tableless",
+        quire_lsb_exponent=fixed.quire_lsb_exponent,
+    )
+    return type("TablelessBackend", (formats.NumericFormat,), ns)(fmt)
+
+
+class TestCompileRule:
+    """Which kernel ``compile_layer`` returns, and why."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name_idx=st.integers(0, len(TABLE_NAMES) - 1),
+        seed=st.integers(0, 2**31 - 1),
+        out_dim=st.integers(1, 6),
+        in_dim=st.integers(1, 40),
+        small=st.booleans(),
+    )
+    def test_single_word_iff_plan(
+        self, name_idx, seed, out_dim, in_dim, small
+    ):
+        """quire bound <= 62 bits <=> ``plane`` or ``int64`` is eligible
+        <=> ``compile_layer`` returns a one-layer plan (else the limb
+        kernel)."""
+        backend = formats.get(TABLE_NAMES[name_idx])
+        rng = np.random.default_rng(seed)
+        if small:
+            W, _, B = small_bound_layer(backend.fmt, rng, out_dim, in_dim, 1)
+        else:
+            W, _, B = random_layer(backend.fmt, rng, out_dim, in_dim, 1, True)
+        fits = quire_bound_bits(
+            backend.limb_tables(), W.astype(np.int64), B.astype(np.int64)
+        ) <= 62
+        (row,) = backend.compile_network([(W, B, "identity")]).explain()
+        single_word = bool({"plane", "int64"} & set(row["eligible"]))
+        kernel = backend.compile_layer(W, B)
+        assert fits == single_word
+        assert isinstance(kernel, NetworkKernel) == single_word
+        if not single_word:
+            assert isinstance(kernel, formats.TableLayerKernel)
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    @pytest.mark.parametrize(
+        "fmt", [f for f in FORMATS if isinstance(f, FixedFormat)], ids=str
+    )
+    def test_fixed_point_always_gets_a_plan(self, fmt, mode, rng):
+        W, X, B = random_layer(fmt, rng, 3, 7, 5, True)
+        kernel = formats.backend_for(fmt).compile_layer(
+            W, B, rounding_mode=mode
+        )
+        assert isinstance(kernel, NetworkKernel)
+        assert kernel.explain()[0]["path"] == "int64"
+        assert np.array_equal(kernel(X), scalar_oracle(fmt, W, X, B, mode))
+
+    def test_tableless_family_gets_dot_kernel(self, rng):
+        fmt = fixed_format(8, 4)
+        backend = _tableless(fmt)
+        W, X, B = random_layer(fmt, rng, 3, 5, 4, True)
+        kernel = backend.compile_layer(W, B)
+        assert isinstance(kernel, formats.DotLayerKernel)
+        expected = engine_for(fmt).dot(W, X, B)
+        assert np.array_equal(kernel(X), expected)
+        plan = backend.compile_network([(W, B, "identity")])
+        assert plan.explain()[0]["path"] == "layer"
+        assert np.array_equal(plan.forward(X), expected)
+
+
+class TestTableLayerKernel:
+    """The exact limb kernel built directly, on every format and mode,
+    including small-bound layers the default compile sends to plans."""
+
+    @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
+    @pytest.mark.parametrize("small", [False, True], ids=["random", "small"])
+    def test_matches_reference_and_scalar(self, any_fmt, mode, small, rng):
+        backend = formats.backend_for(any_fmt)
+        if backend.limb_tables() is None:
+            with pytest.raises(TypeError, match="no limb decode tables"):
+                formats.TableLayerKernel(backend, np.zeros((1, 1), np.uint32))
+            return
+        if small:
+            W, X, B = small_bound_layer(any_fmt, rng, 4, 4, 6)
+            assert isinstance(backend.compile_layer(W, B), NetworkKernel)
+        else:
+            W, X, B = random_layer(any_fmt, rng, 4, 9, 6, True)
+        kernel = formats.TableLayerKernel(backend, W, B, rounding_mode=mode)
+        out = kernel(X)
+        assert out.dtype == np.uint32 and out.shape == (6, 4)
+        engine = engine_for(any_fmt)
+        ref = engine.dot_reference(W, X, B, rounding_mode=mode)
+        assert np.array_equal(out, ref)
+        assert np.array_equal(out, scalar_oracle(any_fmt, W, X, B, mode))
+        compiled = backend.compile_layer(W, B, rounding_mode=mode)
+        assert np.array_equal(out, compiled(X))
+        assert kernel(X[:0]).shape == (0, 4)
 
 
 class TestRankTable:

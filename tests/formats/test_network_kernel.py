@@ -38,7 +38,7 @@ from repro.formats.network import (
     live_planes,
     round_table,
 )
-from repro.formats.kernels import quire_bound_bits
+from repro.formats.kernels import TableLayerKernel, quire_bound_bits
 from repro.posit.format import standard_format
 
 FORMATS = [
@@ -96,6 +96,19 @@ def random_network(fmt, rng, topo, batch, rounding_mode="rne"):
     layers = [(l.weights, l.bias, l.activation) for l in net.layers]
     X = scrub(fmt, rng.integers(0, hi, size=(batch, topo[0]), dtype=np.uint32))
     return layers, X, net
+
+
+def reference_forward(net, X):
+    """The retained ``dot_reference`` digit-plane nest, layer by layer: an oracle that
+    shares no code with the compiled kernels or plans."""
+    out = X
+    for layer in net.layers:
+        out = net.engine.dot_reference(
+            layer.weights, out, layer.bias, rounding_mode=net.rounding_mode
+        )
+        if layer.activation == "relu":
+            out = net.engine.relu(out)
+    return out
 
 
 def forced_plans(backend, layers, rounding_mode):
@@ -206,9 +219,12 @@ class TestFusedBitIdentity:
 
     @pytest.mark.parametrize("mode", formats.ROUNDING_MODES)
     def test_every_format_mode_and_path(self, any_fmt, mode):
-        """Every format x mode: each constructible path == per-layer kernels.
+        """Every format x mode: each constructible path == per-layer kernels
+        == the ``dot_reference`` nest.
 
-        A path is forceable exactly when every layer lists it as eligible.
+        A path is forceable exactly when every layer lists it as eligible;
+        a forced ``layer`` path runs the limb ``TableLayerKernel`` even when
+        the layers' own compiled kernels are one-layer plans.
         """
         backend = formats.backend_for(any_fmt)
         rng = np.random.default_rng(21)
@@ -216,11 +232,21 @@ class TestFusedBitIdentity:
             any_fmt, rng, (6, 5, 3), 7, rounding_mode=mode
         )
         expected = net.forward_patterns_layers(X)
+        assert np.array_equal(expected, reference_forward(net, X))
         plans = forced_plans(backend, layers, mode)
         eligible = [set(row["eligible"]) for row in plans[0][1].explain()]
         assert {path for path, _ in plans[1:]} == set.intersection(*eligible)
         for path, plan in plans:
             assert np.array_equal(plan.forward(X), expected), (path, mode)
+        if backend.limb_tables() is not None:
+            for plan in (
+                dict(plans)["layer"], net.network_kernel(force_path="layer")
+            ):
+                assert all(
+                    isinstance(step.kernel, TableLayerKernel)
+                    for step in plan.steps
+                )
+                assert np.array_equal(plan.forward(X), expected), mode
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -21,6 +21,7 @@ from repro.core.accumulator import LIMB_BITS, combine_limbs
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
+from repro.formats.network import NetworkKernel
 from repro.posit.format import standard_format
 
 BACKENDS = [
@@ -274,28 +275,30 @@ def test_kernel_rtz_matches_scalar_oracle(fmt, rng):
     assert np.array_equal(got, kernel(X))
 
 
-def test_kernel_rtz_covers_word_stacked_and_limb_modes(rng):
-    """The three table-kernel execution modes all honour the mode flag."""
-    # Plane-major single-word (the steady state for trained models).
+def test_kernel_rtz_covers_plane_int64_and_limb_paths(rng):
+    """Every compiled-layer execution path honours the mode flag."""
+    # Plane path (a one-layer plan on a wide, trained-like layer).
     fmt = standard_format(8, 1)
     backend = formats.backend_for(fmt)
     engine = engine_for(fmt)
-    W = engine.quantize(rng.uniform(-1, 1, size=(3, 6)))
-    B = engine.quantize(rng.uniform(-0.5, 0.5, size=3))
-    X = scrub(fmt, rng.integers(0, 256, size=(4, 6), dtype=np.uint32))
+    W = engine.quantize(rng.uniform(-1, 1, size=(12, 40)))
+    B = engine.quantize(rng.uniform(-0.5, 0.5, size=12))
+    X = scrub(fmt, rng.integers(0, 256, size=(3, 40), dtype=np.uint32))
     k = backend.compile_layer(W, B, rounding_mode="rtz")
-    assert k._plane_major
+    assert isinstance(k, NetworkKernel)
+    assert k.explain()[0]["path"] == "plane"
     assert np.array_equal(k(X), scalar_truncated_dot(fmt, W, X, B))
 
-    # Stacked word mode (near-maxpos rows, quire still fits int64).
+    # int64 path (near-maxpos rows: single-word, too wide for plane).
     W2 = np.zeros((2, 40), dtype=np.uint32)
     W2[:, 0] = fmt.maxpos_pattern
     X2 = scrub(fmt, rng.integers(0, 256, size=(6, 40), dtype=np.uint32))
     k2 = backend.compile_layer(W2, None, rounding_mode="rtz")
-    assert k2._word_mode and not k2._plane_major
+    assert isinstance(k2, NetworkKernel)
+    assert k2.explain()[0]["path"] == "int64"
     assert np.array_equal(k2(X2), scalar_truncated_dot(fmt, W2, X2, None))
 
-    # Generic limb path (posit8_2 maxpos rows overflow the word bound).
+    # Limb kernel (posit8_2 maxpos rows overflow the word bound).
     fmt3 = standard_format(8, 2)
     backend3 = formats.backend_for(fmt3)
     W3 = scrub(fmt3, rng.integers(0, 256, size=(2, 5), dtype=np.uint32))
@@ -303,7 +306,7 @@ def test_kernel_rtz_covers_word_stacked_and_limb_modes(rng):
     X3 = scrub(fmt3, rng.integers(0, 256, size=(4, 5), dtype=np.uint32))
     B3 = scrub(fmt3, rng.integers(0, 256, size=(2,), dtype=np.uint32))
     k3 = backend3.compile_layer(W3, B3, rounding_mode="rtz")
-    assert not k3._word_mode
+    assert isinstance(k3, formats.TableLayerKernel)
     assert np.array_equal(k3(X3), scalar_truncated_dot(fmt3, W3, X3, B3))
 
 

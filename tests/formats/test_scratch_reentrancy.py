@@ -30,15 +30,16 @@ def _layer_case(backend, rng, out_dim=7, in_dim=11, batch=64):
 
 
 @pytest.mark.parametrize("names", [("posit8_1", "posit8_1"), ("posit8_1", "float4_3")])
-def test_interleaved_kernel_runs_are_bit_identical(names, rng):
+def test_interleaved_kernel_runs_are_bit_identical(names, rng, monkeypatch):
     """Two threads hammering (same or different) kernels match serial runs."""
+    # Tiny chunk cap: many chunks per call widens the window in which a
+    # shared pool would hand both threads the same buffer.
+    monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 64)
     cases = []
     for name in names:
         backend = formats.get(name)
         weights, bias, acts = _layer_case(backend, rng)
-        # Tiny chunk cap: many chunks per call widens the window in which a
-        # shared pool would hand both threads the same buffer.
-        kernel = backend.compile_layer(weights, bias, chunk_elements=64)
+        kernel = backend.compile_layer(weights, bias)
         cases.append((kernel, acts, kernel(acts).copy()))
 
     barrier = threading.Barrier(len(cases))
