@@ -1,15 +1,16 @@
-"""Microbenchmarks — exact-MAC throughput of the engines and scalar cores.
+"""Microbenchmarks — exact-MAC throughput of the kernels and scalar cores.
 
 Not a paper figure; documents the cost of bit-exact emulation and the
-speedup of the limb-vectorized engine over the scalar soft-core models
+speedup of the compiled layer kernels over the scalar soft-core models
 (what makes the Table II sweeps tractable).
 
 The ``network-inference`` group measures a full mushroom-sized posit8
 network forward through the compiled layer kernels against the retained
-PR 1 engine path (``dot_reference``); the ``network-fused`` group measures
-the same forward through the fused whole-network plan
-(``PositronNetwork.network_kernel()``), asserting bit-identity to the
-per-layer kernels, ``dot_reference``, and the scalar EMAC oracle in-run.
+pre-compiled reference path (``formats.dot_reference``); the
+``network-fused`` group measures the same forward through the fused
+whole-network plan (``PositronNetwork.network_kernel()``), asserting
+bit-identity to the per-layer kernels, ``dot_reference``, and the scalar
+EMAC oracle in-run.
 ``check_engine_regression.py`` guards CI against either speedup over the
 ``dot_reference`` path (compiled, fused) regressing versus the committed
 ``engine_baseline.json`` entries.
@@ -44,12 +45,11 @@ def _layer_patterns(backend, rng, batch=64, fan_in=64, fan_out=16):
 @pytest.mark.benchmark(group="throughput-vector")
 @pytest.mark.parametrize("name", FORMAT_NAMES)
 def test_vector_engine_throughput(benchmark, name):
-    """Exact MACs/second of the vectorized engine (64x64 -> 16 layer)."""
+    """Exact MACs/second of a one-shot compile-and-run (64x64 -> 16 layer)."""
     backend = formats.get(name)
-    engine = backend.make_engine()
     rng = np.random.default_rng(1)
     W, X = _layer_patterns(backend, rng)
-    result = benchmark(engine.dot, W, X)
+    result = benchmark(lambda: backend.compile_layer(W)(X))
     assert result.shape == (64, 16)
     macs = 64 * 64 * 16
     benchmark.extra_info["exact_macs_per_round"] = macs
@@ -95,17 +95,19 @@ def posit8_network():
     ]
     biases = [rng.normal(scale=0.2, size=o) for o in NETWORK_TOPOLOGY[1:]]
     net = PositronNetwork.from_float_params(backend.fmt, weights, biases)
-    X = net.engine.quantize(rng.normal(size=(NETWORK_BATCH, NETWORK_TOPOLOGY[0])))
+    X = net.backend.quantize_batch(
+        rng.normal(size=(NETWORK_BATCH, NETWORK_TOPOLOGY[0]))
+    )
     return net, X
 
 
 def _pr1_forward(net, X):
-    """The PR 1 engine path: per-layer dot_reference + relu."""
+    """The pre-compiled reference path: per-layer dot_reference + relu."""
     out = X
     for layer in net.layers:
-        out = net.engine.dot_reference(layer.weights, out, layer.bias)
+        out = formats.dot_reference(net.backend, layer.weights, out, layer.bias)
         if layer.activation == "relu":
-            out = net.engine.relu(out)
+            out = net.backend.relu_batch(out)
     return out
 
 
@@ -113,7 +115,7 @@ def _pr1_forward(net, X):
 def test_network_inference_compiled(benchmark, posit8_network):
     """Full-network exact inference through the compiled per-layer kernels
     (``forward_patterns_layers``: one-layer fused plans for single-word
-    layers, chained through pattern arrays and engine ReLU)."""
+    layers, chained through pattern arrays and pattern ReLU)."""
     net, X = posit8_network
     result = benchmark(net.forward_patterns_layers, X)
     assert result.shape == (NETWORK_BATCH, NETWORK_TOPOLOGY[-1])
@@ -150,7 +152,7 @@ def test_network_inference_fused(benchmark, posit8_network):
 
 @pytest.mark.benchmark(group="network-inference")
 def test_network_inference_pr1_baseline(benchmark, posit8_network):
-    """The same forward on the retained PR 1 engine path (the baseline the
+    """The same forward on the retained reference path (the baseline the
     regression guard compares the compiled kernels and the fused plan
     against)."""
     net, X = posit8_network

@@ -8,7 +8,10 @@ Scans ``README.md`` and ``docs/*.md`` for
   destination's headings, GitHub-slug style);
 * repo paths mentioned in prose or code blocks (anything matching
   ``src/... tests/... benchmarks/... examples/... docs/...``) — the file
-  or directory must exist.
+  or directory must exist;
+* code references ``path.py::name`` — the file must exist relative to the
+  repo root or ``src/repro/``, and define ``name`` at top level (a def,
+  class or assignment) or as a member of a top-level class.
 
 Pure stdlib; exits nonzero listing every broken reference.  CI runs it so
 documentation can't drift away from the tree it describes.
@@ -18,6 +21,7 @@ Usage:  python benchmarks/check_docs_links.py
 
 from __future__ import annotations
 
+import ast
 import re
 import sys
 from pathlib import Path
@@ -31,6 +35,12 @@ _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 _REPO_PATH = re.compile(
     r"\b((?:src|tests|benchmarks|examples|docs)/[A-Za-z0-9_./-]*)"
 )
+
+#: ``path.py::name`` code references, in prose or code blocks.
+_CODE_REF = re.compile(r"([A-Za-z0-9_./-]+\.py)::([A-Za-z_]\w*)")
+
+#: Where a code reference's path may be rooted.
+_CODE_ROOTS = (ROOT, ROOT / "src" / "repro")
 
 _EXTERNAL = ("http://", "https://", "mailto:")
 
@@ -48,6 +58,42 @@ def _headings(path: Path) -> set[str]:
         if line.startswith("#"):
             slugs.add(_slug(line.lstrip("#")))
     return slugs
+
+
+def _bound_names(body) -> set[str]:
+    """Names a statement list defines: defs, classes and assignments."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name):
+                        names.add(leaf.id)
+    return names
+
+
+def _defined_names(source: Path) -> set[str]:
+    """Top-level names of a module plus the members of its classes."""
+    body = ast.parse(source.read_text()).body
+    names = _bound_names(body)
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            names |= _bound_names(node.body)
+    return names
+
+
+def check_code_ref(rel_path: str, name: str) -> str | None:
+    """Why ``rel_path::name`` is broken, or ``None`` when it resolves."""
+    for root in _CODE_ROOTS:
+        source = root / rel_path
+        if source.is_file():
+            if name in _defined_names(source):
+                return None
+            return f"{rel_path} defines no {name}"
+    return f"missing file {rel_path}"
 
 
 def check_file(path: Path) -> list[str]:
@@ -78,6 +124,11 @@ def check_file(path: Path) -> list[str]:
         mention = match.group(1).rstrip(".")
         if not (ROOT / mention).exists():
             errors.append(f"{rel}: missing path ({mention})")
+
+    for match in _CODE_REF.finditer(text):
+        problem = check_code_ref(match.group(1), match.group(2))
+        if problem:
+            errors.append(f"{rel}: broken code reference {match.group(0)} ({problem})")
 
     return errors
 

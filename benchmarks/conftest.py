@@ -44,11 +44,10 @@ def quire_roundoff_case():
     from repro import formats
 
     backend = formats.get("posit8_1")
-    engine = backend.make_engine()
     rng = np.random.default_rng(7)
-    num_limbs = engine.num_limbs
+    num_limbs = formats.num_limbs(backend.limb_tables())
     limbs = rng.integers(-(1 << 36), 1 << 36, size=(64, 16, num_limbs), dtype=np.int64)
-    limbs[..., -1] = 0  # sign-extension headroom, as the engine guarantees
+    limbs[..., -1] = 0  # sign-extension headroom, as the kernels guarantee
     limbs[rng.random(size=(64, 16)) < 0.2, 1:] = 0  # some small quires
     return backend, limbs
 

@@ -11,13 +11,12 @@ Run:  python examples/custom_network.py
 import numpy as np
 
 from repro.analysis import naive_accuracy
-from repro.core import PositronNetwork, engine_for
+from repro.core import PositronNetwork
 from repro.posit import Posit, standard_format
 
 
 def main() -> None:
     fmt = standard_format(8, 1)
-    engine = engine_for(fmt)
     rng = np.random.default_rng(5)
 
     # A 6 -> 8 -> 4 -> 2 classifier from raw float parameters.
@@ -33,9 +32,10 @@ def main() -> None:
     print(f"layer 0 weight memory holds patterns, e.g. "
           f"{[hex(int(b)) for b in net.layers[0].weights[0][:4]]}")
 
-    # 1. Scalar EMACs and the vector engine produce identical bits.
+    # 1. Scalar EMACs and the compiled kernels produce identical bits.
+    backend = net.backend  # the format object: quantize, kernels, tables
     x = rng.normal(size=(1, 6))
-    patterns = engine.quantize(x)
+    patterns = backend.quantize_batch(x)
     vec = net.forward_patterns(patterns)[0]
     scalar = net.forward_scalar([int(p) for p in patterns[0]])
     print(f"\nvector path bits : {[hex(int(b)) for b in vec]}")
@@ -61,7 +61,7 @@ def main() -> None:
     def exact_chain(order):
         ws_ = np.array([[terms[i][0].bits for i in order]], dtype=np.uint32)
         xs_ = np.array([[terms[i][1].bits for i in order]], dtype=np.uint32)
-        return int(engine.dot(ws_, xs_)[0, 0])
+        return int(backend.compile_layer(ws_)(xs_)[0, 0])
 
     orders = [(0, 1, 2), (0, 2, 1), (1, 0, 2)]
     exact_results = {exact_chain(o) for o in orders}

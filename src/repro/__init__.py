@@ -11,8 +11,8 @@ Subpackages
     Q-format fixed point.
 ``repro.core``
     The paper's contribution: exact MAC (EMAC) soft cores for all three
-    formats, a vectorized bit-identical engine, and the Deep Positron DNN
-    inference architecture.
+    formats and the Deep Positron DNN inference architecture, bit-identical
+    to the format backends' compiled kernels.
 ``repro.nn``
     From-scratch numpy MLP training substrate and format quantizers.
 ``repro.datasets``
@@ -22,8 +22,8 @@ Subpackages
     Virtex-7-class structural synthesis model: LUTs, Fmax, power, EDP.
 ``repro.formats``
     The unified number-system backend registry: one ``NumericFormat`` per
-    system (decode tables, batched quantize/round-off, engine and EMAC
-    factories), addressed by name (``formats.get("posit8_1")``).
+    system (decode tables, batched quantize/round-off, compiled kernels,
+    the scalar EMAC factory), addressed by name (``formats.get("posit8_1")``).
 ``repro.analysis``
     Experiment drivers reproducing every table and figure.
 """
@@ -34,7 +34,6 @@ from .core import (
     FloatEmac,
     PositEmac,
     PositronNetwork,
-    engine_for,
 )
 from .fixedpoint import Fixed, FixedFormat, fixed_format
 from .floatp import FloatFormat, FloatP, float_format
@@ -58,6 +57,5 @@ __all__ = [
     "FloatEmac",
     "PositEmac",
     "PositronNetwork",
-    "engine_for",
     "__version__",
 ]

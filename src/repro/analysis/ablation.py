@@ -44,7 +44,6 @@ import numpy as np
 
 from .. import formats
 from ..core.positron import PositronNetwork, scalar_emac_for
-from ..core.vector import engine_for
 from ..nn.quantize import candidate_configs, quantize_nearest
 from .store import artifact_store, content_key, store_enabled
 from .sweep import EXPERIMENTS, model_key, trained_model
@@ -72,7 +71,7 @@ _MAX_TABLE_WIDTH = 12
 
 
 def _dequantize(fmt, patterns: np.ndarray) -> np.ndarray:
-    return engine_for(fmt).decode_values(patterns)
+    return formats.backend_for(fmt).decode_batch(patterns)
 
 
 # ----------------------------------------------------------------------
@@ -115,10 +114,9 @@ def naive_forward(network: PositronNetwork, inputs: np.ndarray) -> np.ndarray:
     sorted-boundary quantize — both vectorized over every (sample, neuron)
     pair at once.  Bit-identical to :func:`naive_forward_reference`.
     """
-    backend = formats.backend_for(network.fmt)
+    backend = network.backend
     values, products = naive_product_table(backend)
-    engine = network.engine
-    current = engine.quantize(np.asarray(inputs, dtype=np.float64))
+    current = backend.quantize_batch(np.asarray(inputs, dtype=np.float64))
     if current.ndim == 1:
         current = current[None, :]
     batch = current.shape[0]
@@ -136,7 +134,7 @@ def naive_forward(network: PositronNetwork, inputs: np.ndarray) -> np.ndarray:
             )
         out = acc.astype(np.uint32)
         if layer.activation == "relu":
-            out = engine.relu(out)
+            out = backend.relu_batch(out)
         current = out
     return current
 
@@ -151,8 +149,8 @@ def naive_forward_reference(
     it bit for bit.
     """
     fmt = network.fmt
-    engine = network.engine
-    current = engine.quantize(np.asarray(inputs, dtype=np.float64))
+    backend = network.backend
+    current = backend.quantize_batch(np.asarray(inputs, dtype=np.float64))
     for layer in network.layers:
         w_val = _dequantize(fmt, layer.weights)  # (out, in)
         b_val = _dequantize(fmt, layer.bias)  # (out,)
@@ -165,7 +163,7 @@ def naive_forward_reference(
             acc = _dequantize(fmt, quantize_nearest(fmt, acc + product))
         out = quantize_nearest(fmt, acc)
         if layer.activation == "relu":
-            out = engine.relu(out)
+            out = backend.relu_batch(out)
         current = out
     return current
 
@@ -181,7 +179,7 @@ def naive_accuracy(
     output.
     """
     out = naive_forward(network, inputs)
-    ranks = formats.backend_for(network.fmt).rank_table()
+    ranks = network.backend.rank_table()
     predicted = np.argmax(ranks[out.astype(np.int64)], axis=1)
     return float(np.mean(predicted == np.asarray(labels)))
 
@@ -201,7 +199,7 @@ def truncated_forward(
     :func:`truncated_forward_reference`.
     """
     twin = network.with_rounding_mode("rtz")
-    patterns = twin.engine.quantize(np.asarray(inputs, dtype=np.float64))
+    patterns = twin.backend.quantize_batch(np.asarray(inputs, dtype=np.float64))
     return twin.forward_patterns(patterns)
 
 
@@ -221,8 +219,10 @@ def truncated_forward_reference(
     built a 1-element array per neuron).
     """
     fmt = network.fmt
-    engine = network.engine
-    patterns = [int(p) for p in engine.quantize(np.asarray(sample, dtype=np.float64))]
+    backend = network.backend
+    patterns = [
+        int(p) for p in backend.quantize_batch(np.asarray(sample, dtype=np.float64))
+    ]
     emac = scalar_emac_for(fmt)
     for layer in network.layers:
         outputs = []
@@ -233,7 +233,7 @@ def truncated_forward_reference(
             exact = emac.accumulator_value()
             outputs.append(_truncate_to_format(fmt, exact))
         if layer.activation == "relu":
-            relu = engine.relu(np.asarray(outputs, dtype=np.uint32))
+            relu = backend.relu_batch(np.asarray(outputs, dtype=np.uint32))
             outputs = [int(b) for b in relu]
         patterns = outputs
     return patterns

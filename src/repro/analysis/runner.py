@@ -3,7 +3,7 @@
 The paper's headline artifacts are full sweeps over dataset × width ×
 format-config.  :func:`run_sweeps` fans the (dataset, width) task grid out
 over a ``ProcessPoolExecutor``; each task evaluates all candidate configs
-of its width batched through one engine pass per config
+of its width batched through one compiled-kernel pass per config
 (:func:`~repro.analysis.sweep.evaluate_configs_batch`) and persists its
 result individually in the content-addressed artifact store.
 :func:`run_ablation` runs the Section III-A rounding-mode ablation grid

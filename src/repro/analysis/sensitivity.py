@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.positron import PositronNetwork
-from ..core.vector import engine_for
 from ..posit.format import standard_format
 from .sweep import TrainedModel, sweep_width
 
@@ -65,16 +64,14 @@ def mixed_precision_network(
     ds = tm.dataset
     values = np.asarray(ds.test_x, dtype=np.float64)
     for i, fmt in enumerate(layer_formats):
-        engine = engine_for(fmt)
         net = PositronNetwork.from_float_params(fmt, [weights[i]], [biases[i]])
-        layer = net.layers[0]
+        backend = net.backend
         # A single-layer network applies the identity readout; apply ReLU
         # manually for hidden layers.
-        patterns = engine.quantize(values)
-        out = engine.dot(layer.weights, patterns, layer.bias)
+        out = net.layers[0].forward(backend.quantize_batch(values))
         if i < len(layer_formats) - 1:
-            out = engine.relu(out)
-        values = engine.decode_values(out)
+            out = backend.relu_batch(out)
+        values = backend.decode_batch(out)
     return float(np.mean(np.argmax(values, axis=1) == ds.test_y))
 
 

@@ -199,12 +199,12 @@ def evaluate_config(tm: TrainedModel, config: FormatConfig) -> float:
 def evaluate_configs_batch(
     tm: TrainedModel, configs: list[FormatConfig] | tuple[FormatConfig, ...]
 ) -> list[float]:
-    """Accuracies of many configs, batched: one engine pass per config.
+    """Accuracies of many configs, batched: one kernel pass per config.
 
     The parent parameters are exported once and each config's quantized
     network runs the full test set in a single compiled-kernel forward —
-    backends, decode/digit tables, and engines are memoized per format key
-    in the registry, so repeated sweeps (and the parallel runner's pool
+    backends, decode/digit tables, and rank tables are memoized per format
+    key in the registry, so repeated sweeps (and the parallel runner's pool
     workers) stop rebuilding them per config.  Classification argmaxes the
     readout *patterns* through the format's monotone rank table, skipping
     the float64 decode of every readout row; results are bit-identical to

@@ -1,9 +1,10 @@
 """Deep Positron core: exact MAC units and the DNN inference architecture.
 
 The paper's primary contribution: three precision-adaptable EMAC soft cores
-(fixed, float, posit), the exact wide accumulators behind them, a vectorized
-bit-identical engine for dataset-scale runs, and the Deep Positron network
-(per-neuron EMACs, local parameter memories, streaming control FSM timing).
+(fixed, float, posit), the exact wide accumulators behind them, and the
+Deep Positron network (per-neuron EMACs, local parameter memories,
+streaming control FSM timing), whose layers run on the format backend's
+bit-identical compiled kernels for dataset-scale runs.
 """
 
 from .accumulator import ExactAccumulator, LIMB_BITS, combine_limbs, limbs_needed
@@ -11,13 +12,6 @@ from .emac_base import Emac
 from .emac_fixed import FixedEmac
 from .emac_float import FloatEmac
 from .emac_posit import PositEmac
-from .vector import (
-    FixedVectorEngine,
-    FloatVectorEngine,
-    PositVectorEngine,
-    VectorEngine,
-    engine_for,
-)
 from .control import InferenceTiming, layer_cycles, network_timing
 from .memory import BRAM_KBITS, LayerMemory
 from .positron import PositronLayer, PositronNetwork, scalar_emac_for
@@ -31,11 +25,6 @@ __all__ = [
     "FixedEmac",
     "FloatEmac",
     "PositEmac",
-    "VectorEngine",
-    "FixedVectorEngine",
-    "FloatVectorEngine",
-    "PositVectorEngine",
-    "engine_for",
     "InferenceTiming",
     "layer_cycles",
     "network_timing",

@@ -7,7 +7,7 @@ are used:
 * scalar: :class:`ExactAccumulator`, a Python big integer with a fixed
   binary point — arbitrarily wide, used by the reference EMAC models;
 * vector: base-``2**LIMB_BITS`` limbs held in numpy int64 arrays, used by
-  the vectorized engine (:mod:`repro.core.vector`).  Terms are bounded so
+  the compiled kernels (:mod:`repro.formats.kernels`).  Terms are bounded so
   that per-limb partial sums stay exactly representable, and
   :func:`combine_limbs` reconstitutes the exact Python integer.
 """

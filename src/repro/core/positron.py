@@ -27,7 +27,8 @@ Two execution paths produce identical bits:
 
 * :meth:`PositronLayer.forward` — the layer's compiled kernel;
 * :meth:`PositronLayer.forward_scalar` — one scalar EMAC per neuron, used to
-  validate the engine and to emulate the hardware datapath one MAC per cycle.
+  validate the kernels and to emulate the hardware datapath one MAC per
+  cycle.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .. import formats
 from .control import InferenceTiming, network_timing
 from .emac_base import Emac
 from .memory import LayerMemory
-from .vector import VectorEngine, engine_for
 
 __all__ = ["PositronLayer", "PositronNetwork", "Activation", "scalar_emac_for"]
 
@@ -74,23 +74,25 @@ class PositronLayer:
         ``(out,)`` uint32 array of bias patterns.
     activation:
         ``"relu"`` for hidden layers, ``"identity"`` for the readout.
-    engine:
-        The vectorized EMAC engine (shared across layers of one network).
     rounding_mode:
         Round-once output stage of every EMAC in the layer: ``"rne"``
         (default) or ``"rtz"`` (round toward zero, the truncated-EMAC
         ablation).  Change it and call :meth:`recompile` to re-target the
         compiled kernel.
+
+    The format's registry-memoized backend (``backend``, shared by every
+    layer of that format) compiles the kernel and supplies the batched
+    pattern operations.
     """
 
     fmt: object
     weights: np.ndarray
     bias: np.ndarray
     activation: Activation
-    engine: VectorEngine
     rounding_mode: str = "rne"
 
     def __post_init__(self) -> None:
+        self.backend = formats.backend_for(self.fmt)
         self.weights = np.asarray(self.weights, dtype=np.uint32)
         self.bias = np.asarray(self.bias, dtype=np.uint32)
         if self.weights.ndim != 2:
@@ -111,7 +113,7 @@ class PositronLayer:
         place.
         """
         formats.check_rounding_mode(self.rounding_mode)
-        self._kernel = formats.backend_for(self.fmt).compile_layer(
+        self._kernel = self.backend.compile_layer(
             self.weights, self.bias, rounding_mode=self.rounding_mode
         )
         # Stamp the compile so cached whole-network plans notice it.
@@ -131,7 +133,7 @@ class PositronLayer:
     def memory(self) -> LayerMemory:
         """Local memory footprint of this layer's parameters."""
         return LayerMemory.for_layer(
-            self.out_features, self.in_features, self.engine.width
+            self.out_features, self.in_features, self.backend.width
         )
 
     # ------------------------------------------------------------------
@@ -139,7 +141,7 @@ class PositronLayer:
         """Compiled exact forward pass on ``(batch, in)`` patterns."""
         out = self._kernel(np.asarray(patterns, dtype=np.uint32))
         if self.activation == "relu":
-            out = self.engine.relu(out)
+            out = self.backend.relu_batch(out)
         return out
 
     def forward_scalar(self, patterns: Sequence[int]) -> list[int]:
@@ -154,7 +156,7 @@ class PositronLayer:
             )
             outputs.append(bits)
         if self.activation == "relu":
-            relu = self.engine.relu(np.asarray(outputs, dtype=np.uint32))
+            relu = self.backend.relu_batch(np.asarray(outputs, dtype=np.uint32))
             outputs = [int(b) for b in relu]
         return outputs
 
@@ -182,7 +184,7 @@ class PositronNetwork:
                 )
         self.fmt = fmt
         self.layers = list(layers)
-        self.engine = layers[0].engine
+        self.backend = formats.backend_for(fmt)
         modes = {layer.rounding_mode for layer in self.layers}
         if rounding_mode is not None:
             formats.check_rounding_mode(rounding_mode)
@@ -206,19 +208,17 @@ class PositronNetwork:
         fmt,
         weight_arrays: Sequence[np.ndarray],
         bias_arrays: Sequence[np.ndarray],
-        engine: VectorEngine | None = None,
         rounding_mode: str = "rne",
     ) -> "PositronNetwork":
         """Assemble from pattern arrays; last layer gets identity activation."""
         if len(weight_arrays) != len(bias_arrays):
             raise ValueError("need one bias array per weight array")
-        engine = engine or engine_for(fmt)
         layers = []
         last = len(weight_arrays) - 1
         for i, (w, b) in enumerate(zip(weight_arrays, bias_arrays)):
             activation = "identity" if i == last else "relu"
             layers.append(
-                PositronLayer(fmt, w, b, activation, engine, rounding_mode)
+                PositronLayer(fmt, w, b, activation, rounding_mode)
             )
         return cls(fmt, layers)
 
@@ -231,17 +231,15 @@ class PositronNetwork:
         rounding_mode: str = "rne",
     ) -> "PositronNetwork":
         """Quantize trained float parameters into a Deep Positron network."""
-        engine = engine_for(fmt)
-        weights = [engine.quantize(np.asarray(w)) for w in weight_arrays]
-        biases = [engine.quantize(np.asarray(b)) for b in bias_arrays]
-        return cls.from_arrays(
-            fmt, weights, biases, engine=engine, rounding_mode=rounding_mode
-        )
+        backend = formats.backend_for(fmt)
+        weights = [backend.quantize_batch(np.asarray(w)) for w in weight_arrays]
+        biases = [backend.quantize_batch(np.asarray(b)) for b in bias_arrays]
+        return cls.from_arrays(fmt, weights, biases, rounding_mode=rounding_mode)
 
     def with_rounding_mode(self, rounding_mode: str) -> "PositronNetwork":
         """A sibling network on the *same* pattern arrays, re-rounded.
 
-        The twin shares weight/bias arrays and the memoized engine; only
+        The twin shares weight/bias arrays and the memoized backend; only
         the compiled kernels differ (their round-once output stage).  The
         rounding-mode ablations use this to deploy one quantized model
         under both modes without re-quantizing.  Twins are cached per mode
@@ -260,7 +258,6 @@ class PositronNetwork:
                     layer.weights,
                     layer.bias,
                     layer.activation,
-                    layer.engine,
                     rounding_mode,
                 )
                 for layer in self.layers
@@ -308,7 +305,7 @@ class PositronNetwork:
         cached = self._network_plan
         if force_path is None and cached is not None and cached[0] == signature:
             return cached[1]
-        plan = formats.backend_for(self.fmt).compile_network(
+        plan = self.backend.compile_network(
             [(l.weights, l.bias, l.activation) for l in self.layers],
             rounding_mode=self.rounding_mode,
             layer_kernels=[l._kernel for l in self.layers],
@@ -334,7 +331,7 @@ class PositronNetwork:
     def forward_patterns_layers(self, patterns: np.ndarray) -> np.ndarray:
         """Layer-by-layer forward through the compiled per-layer kernels.
 
-        The pre-fusion execution path (kernel + engine ReLU per layer),
+        The pre-fusion execution path (kernel + pattern ReLU per layer),
         kept as the oracle the fused plan is property-tested against and
         as the baseline the benchmark regression guard measures fusion
         speedup from.
@@ -355,8 +352,8 @@ class PositronNetwork:
 
     def forward_values(self, inputs: np.ndarray) -> np.ndarray:
         """Quantize float inputs, run exactly, decode outputs to float64."""
-        patterns = self.engine.quantize(np.asarray(inputs, dtype=np.float64))
-        return self.engine.decode_values(self.forward_patterns(patterns))
+        patterns = self.backend.quantize_batch(np.asarray(inputs, dtype=np.float64))
+        return self.backend.decode_batch(self.forward_patterns(patterns))
 
     def predict_patterns(self, patterns: np.ndarray) -> np.ndarray:
         """Class prediction from input *patterns*, argmaxed in pattern space.
@@ -376,7 +373,7 @@ class PositronNetwork:
 
     def predict(self, inputs: np.ndarray) -> np.ndarray:
         """Class prediction: pattern-space argmax of the exact readout."""
-        patterns = self.engine.quantize(np.asarray(inputs, dtype=np.float64))
+        patterns = self.backend.quantize_batch(np.asarray(inputs, dtype=np.float64))
         return self.predict_patterns(patterns)
 
     def accuracy(self, inputs: np.ndarray, labels: np.ndarray) -> float:

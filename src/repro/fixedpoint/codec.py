@@ -2,8 +2,8 @@
 
 Fixed-point needs no decode tables: patterns *are* scaled integers.  These
 helpers quantize/dequantize whole numpy arrays and provide the same
-``negate``/``relu`` pattern maps the other formats expose, for uniformity in
-the vectorized engine.
+``negate``/``relu`` pattern maps the other formats expose, for uniformity
+behind the fixed-point format backend.
 """
 
 from __future__ import annotations

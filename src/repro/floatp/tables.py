@@ -1,7 +1,7 @@
 """Lookup tables for vectorized small-float processing.
 
 Same role as :mod:`repro.posit.tables`: per-pattern decode arrays indexed by
-bit pattern, used by the vectorized EMAC engine.  Reserved (all-ones
+bit pattern, used by the float backend's compiled kernels.  Reserved (all-ones
 exponent) patterns are flagged and mapped to NaN in ``float_value``; the
 Deep Positron datapath never produces them.
 """

@@ -2,28 +2,30 @@
 
 One :class:`NumericFormat` backend per number system (posit, small float,
 fixed point), each bundling decode tables, bit-exact batched quantization,
-the fully vectorized quire round-off stage, and engine/EMAC factories —
-plus a name-based registry so formats are addressed as ``posit8_1`` or
-``posit<8,1>`` everywhere (CLI, sweeps, quantizers) instead of via
-``isinstance`` chains.
+the fully vectorized quire round-off stage, compiled layer/network kernels
+and the scalar EMAC factory — plus a name-based registry so formats are
+addressed as ``posit8_1`` or ``posit<8,1>`` everywhere (CLI, sweeps,
+quantizers) instead of via ``isinstance`` chains.
 
     >>> from repro import formats
     >>> backend = formats.get("posit8_1")
-    >>> engine = backend.make_engine()
+    >>> kernel = backend.compile_layer(weights, bias)
+    >>> outputs = kernel(activations)
 
 Registering a new family (see :class:`~repro.formats.registry.FormatFamily`)
-plugs it into the vector engines, scalar EMACs, quantizers, accuracy sweeps,
+plugs it into the compiled kernels, scalar EMACs, quantizers, accuracy sweeps,
 and the CLI with no further code changes.
 """
 
 from .base import LimbTables, NumericFormat
 from .kernels import (
-    DotLayerKernel,
     LayerKernel,
     TableLayerKernel,
     check_patterns,
     clear_scratch,
     digit_planes,
+    dot_reference,
+    num_limbs,
     quire_bound_bits,
 )
 from .network import (
@@ -62,10 +64,11 @@ __all__ = [
     "LimbTables",
     "LayerKernel",
     "TableLayerKernel",
-    "DotLayerKernel",
+    "dot_reference",
     "digit_planes",
     "check_patterns",
     "quire_bound_bits",
+    "num_limbs",
     "clear_scratch",
     "NetworkKernel",
     "RoundTable",

@@ -6,13 +6,13 @@ everything the rest of the library needs:
 
 * **metadata** — family string, canonical registry name, label, width;
 * **decode tables** (:class:`LimbTables`) feeding the limb-accumulating
-  vector engine, or ``None`` for formats with an exact int64 matmul path;
+  kernels — required of every family except fixed point, whose exact
+  int64 matmul path needs none;
 * **batched kernels** — ``quantize_batch`` / ``decode_batch`` /
-  ``relu_batch`` and the fully vectorized ``encode_from_quire_batch``
-  round-once output stage;
-* **factories** for the vectorized engine and the scalar reference EMAC
-  (imported lazily so ``repro.formats`` never depends on ``repro.core`` at
-  import time);
+  ``relu_batch``, the fully vectorized ``encode_from_quire_batch``
+  round-once output stage, and ``compile_layer`` / ``compile_network``;
+* **a factory** for the scalar reference EMAC (imported lazily so
+  ``repro.formats`` never depends on ``repro.core`` at import time);
 * **scalar reference hooks** (``encode_from_quire_scalar``,
   ``truncate_scalar``) used by property tests, microbenchmark baselines,
   and the rounding-mode ablations.
@@ -35,7 +35,7 @@ __all__ = ["LimbTables", "NumericFormat"]
 
 @dataclass(frozen=True)
 class LimbTables:
-    """Per-pattern decode tables consumed by the limb vector engine.
+    """Per-pattern decode tables consumed by the limb kernels.
 
     Indexed by bit pattern.  ``signed_sig`` is the signed aligned
     significand (the EMAC multiplier input with its sign applied) and
@@ -95,7 +95,11 @@ class NumericFormat(ABC):
 
     # -- vectorized kernels ---------------------------------------------
     def limb_tables(self) -> LimbTables | None:
-        """Decode tables for the limb engine; ``None`` if not table-driven."""
+        """Decode tables for the limb kernels; ``None`` for fixed point.
+
+        Every other family must supply them: ``compile_layer`` refuses a
+        table-less family that is not fixed point with ``TypeError``.
+        """
         return None
 
     def compile_layer(self, weights, bias=None, *, rounding_mode="rne"):
@@ -105,8 +109,7 @@ class NumericFormat(ABC):
         word), and every fixed-point layer, compiles to a one-layer
         :class:`~repro.formats.network.NetworkKernel` with an identity
         activation; a wider table-format layer gets the exact limb
-        :class:`~repro.formats.kernels.TableLayerKernel`, and a family
-        without limb tables a kernel that defers to its engine's ``dot``.
+        :class:`~repro.formats.kernels.TableLayerKernel`.
         ``rounding_mode`` selects the round-once output stage: ``"rne"``
         (default) or ``"rtz"`` (round toward zero, the truncated-EMAC
         ablation).
@@ -218,21 +221,7 @@ class NumericFormat(ABC):
     def truncate_scalar(self, value: Fraction) -> int:
         """Round ``value`` toward zero to a pattern (ablation reference)."""
 
-    # -- factories (lazy core imports; formats must not import core) ----
-    def engine(self):
-        """The shared memoized engine for this format.
-
-        Engines are read-only once built (tables plus pure functions), so
-        one instance per backend serves every consumer in a process —
-        sweeps and pool workers stop rebuilding decode/digit tables per
-        candidate config.  Use :meth:`make_engine` for a private instance.
-        """
-        return self._memo("_engine", self.make_engine)
-
-    @abstractmethod
-    def make_engine(self):
-        """Vectorized EMAC engine for this format."""
-
+    # -- factory (lazy core import; formats must not import core) -------
     @abstractmethod
     def make_scalar_emac(self):
         """Reference scalar EMAC for this format."""

@@ -87,11 +87,6 @@ class FixedBackend(NumericFormat):
         return raw & fmt.mask
 
     # ------------------------------------------------------------------
-    def make_engine(self):
-        from ..core.vector import FixedVectorEngine
-
-        return FixedVectorEngine(self.fmt)
-
     def make_scalar_emac(self):
         from ..core.emac_fixed import FixedEmac
 

@@ -160,11 +160,6 @@ class FloatBackend(NumericFormat):
         return bits
 
     # ------------------------------------------------------------------
-    def make_engine(self):
-        from ..core.vector import FloatVectorEngine
-
-        return FloatVectorEngine(self.fmt)
-
     def make_scalar_emac(self):
         from ..core.emac_float import FloatEmac
 

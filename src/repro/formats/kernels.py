@@ -1,11 +1,12 @@
 """Compiled per-layer inference kernels: one stacked digit-plane GEMM.
 
-The limb vector engine (:mod:`repro.core.vector`) computes every exact dot
-product as a *digit-plane convolution*: each pattern's aligned value is a
-handful of signed base-``2**LIMB_BITS`` digits, and the limb-``k``
-contribution of a product is ``limbs[b, o, k] = sum_{l+m=k} (A_m @ W_l.T)``.
-Executed naively that is up to ``planes**2`` small float64 matmuls per batch
-chunk, and the weight digit tensor is re-gathered on every call.
+Every exact dot product of a table-driven format is a *digit-plane
+convolution*: each pattern's aligned value is a handful of signed
+base-``2**LIMB_BITS`` digits, and the limb-``k`` contribution of a product
+is ``limbs[b, o, k] = sum_{l+m=k} (A_m @ W_l.T)``.  Executed naively — as
+the retained reference nest :func:`dot_reference` still does — that is up
+to ``planes**2`` small float64 matmuls per batch chunk, and the weight
+digit tensor is re-gathered on every call.
 
 A :class:`LayerKernel` compiles the *(weights, bias)* half of that
 convolution once, so each forward call is a **single** float64 GEMM:
@@ -50,11 +51,11 @@ int64 — still one GEMM per split instead of ``planes**2``.
 Scratch buffers (the staged activations, the GEMM output, and the int64
 limb tensor) come from a grow-only *per-thread* pool keyed by shape, so
 they are reused across batch chunks *and* across the layers of a network.
-Because the pool is thread-local, the memoized backends/engines handed out
-by the format registry are safe to share across threads (the serving
-layer's executor runs batches for different models concurrently); within a
-thread a kernel call never yields, so asyncio tasks cannot interleave
-mid-call either.  Cross-process parallelism lives in the process-pool
+Because the pool is thread-local, the memoized backends handed out by the
+format registry are safe to share across threads (the serving layer's
+executor runs batches for different models concurrently); within a thread
+a kernel call never yields, so asyncio tasks cannot interleave mid-call
+either.  Cross-process parallelism lives in the process-pool
 runner.
 
 Kernels are obtained through :meth:`repro.formats.NumericFormat.compile_layer`.
@@ -62,9 +63,8 @@ A layer whose quire provably fits one int64 word (the bound of
 :func:`quire_bound_bits` is at most 62 bits) compiles to a one-layer fused
 plan (:class:`repro.formats.network.NetworkKernel`), and so does every
 fixed-point layer; :class:`TableLayerKernel` is the exact multi-limb path
-for the wider quires, and :class:`DotLayerKernel` serves custom families
-without limb tables.  The engines' ``dot`` wraps a one-shot compiled
-kernel, so the engine API is unchanged.
+for the wider quires.  A family that is not fixed point must expose limb
+tables to compile at all.
 """
 
 from __future__ import annotations
@@ -74,21 +74,23 @@ import threading
 import numpy as np
 
 from .base import LimbTables, NumericFormat
+from .fixed_backend import FixedBackend
 from .quire import LIMB_BITS, check_rounding_mode
 
 __all__ = [
     "LayerKernel",
     "TableLayerKernel",
-    "DotLayerKernel",
+    "dot_reference",
     "digit_planes",
     "check_patterns",
     "quire_bound_bits",
+    "num_limbs",
     "clear_scratch",
 ]
 
 #: Soft cap on the size of per-chunk intermediate tensors (elements).  Read
-#: at call time by the limb kernel, the network plans and the engines'
-#: ``dot_reference``, so tests shrink it by monkeypatching.
+#: at call time by the limb kernel, the network plans and
+#: :func:`dot_reference`, so tests shrink it by monkeypatching.
 _CHUNK_ELEMENTS = 4_000_000
 
 #: Scratch pool byte budget; least-recently-used buffers are evicted.
@@ -135,7 +137,7 @@ _SCRATCH_TLS = threading.local()
 def _scratch() -> _ScratchPool:
     """The calling thread's scratch pool (created on first use).
 
-    Keying the pool by thread is what makes the registry-memoized engines
+    Keying the pool by thread is what makes the registry-memoized backends
     and compiled kernels shareable across executor threads: concurrent
     forward passes each stage into their own buffers, while the
     single-threaded hot path keeps its allocation-free reuse.
@@ -158,8 +160,8 @@ def digit_planes(backend: NumericFormat) -> np.ndarray:
     ``2**(LIMB_BITS * l)`` in quire-LSB units of one *input*.  Digits are
     ``< 2**LIMB_BITS`` and stored as float64 (exactly representable) so the
     digit-plane contractions run on BLAS.  Built once per backend; the
-    registry caches backends per format key, so every engine, kernel, and
-    sweep worker in a process shares one table per format.
+    registry caches backends per format key, so every kernel and sweep
+    worker in a process shares one table per format.
     """
     cached = backend.__dict__.get("_digit_planes")
     if cached is None:
@@ -190,9 +192,9 @@ def _build_digit_planes(tables: LimbTables) -> np.ndarray:
 def check_patterns(tables: LimbTables, patterns, what: str) -> np.ndarray:
     """Validate patterns against the decode tables; return them as int64.
 
-    Shared by the layer kernels, the engines' ``dot_reference`` path, and
-    the fused network kernels (which validate the *network* inputs once
-    instead of re-validating at every layer boundary).
+    Shared by the layer kernels, :func:`dot_reference`, and the fused
+    network kernels (which validate the *network* inputs once instead of
+    re-validating at every layer boundary).
     """
     p = np.asarray(patterns, dtype=np.int64)
     if p.size and (p.min() < 0 or p.max() >= tables.signed_sig.shape[0]):
@@ -232,6 +234,38 @@ def quire_bound_bits(tables: LimbTables, wp, bp) -> int:
     return int(np.frexp(bound)[1]) + 2
 
 
+def num_limbs(tables: LimbTables) -> int:
+    """Limbs per exact quire of a table format: room for the widest product
+    term at the largest shift, plus sign-extension headroom."""
+    max_term_bits = 2 * tables.sig_bits + LIMB_BITS
+    if max_term_bits > 62:
+        raise ValueError("significand products too wide for int64 limbs")
+    return (tables.max_shift + max_term_bits) // LIMB_BITS + 2
+
+
+def _bias_limbs(tables: LimbTables, bp: np.ndarray, limbs: int) -> np.ndarray:
+    """Each (validated) bias pattern as quire-aligned limbs, shape (out, L)."""
+    sig = tables.signed_sig[bp]
+    total_shift = tables.shift[bp] + tables.bias_extra_shift
+    idx = total_shift // LIMB_BITS
+    rem = total_shift - idx * LIMB_BITS
+    out = np.zeros((bp.shape[0], limbs), dtype=np.int64)
+    out[np.arange(bp.shape[0]), idx] = sig << rem
+    return out
+
+
+def _check_activations(activations, in_features: int) -> np.ndarray:
+    a = np.asarray(activations, dtype=np.uint32)
+    if a.ndim != 2:
+        raise ValueError(f"activations must be 2-D (batch, in); got shape {a.shape}")
+    if a.shape[1] != in_features:
+        raise ValueError(
+            f"fan-in mismatch: weights expect {in_features}, "
+            f"activations have {a.shape[1]}"
+        )
+    return a
+
+
 def _check_weights(weights, bias) -> tuple[np.ndarray, np.ndarray | None]:
     weights = np.asarray(weights, dtype=np.uint32)
     if weights.ndim != 2:
@@ -248,29 +282,16 @@ class LayerKernel:
 
     Calling the kernel on ``(batch, in)`` activation patterns returns the
     ``(batch, out)`` exact round-once dot products — the same contract as
-    ``VectorEngine.dot(weights, activations, bias)``, with all per-call
-    weight preparation hoisted into construction.  ``rounding_mode``
-    selects the round-once output stage (``"rne"`` default, ``"rtz"``
-    round toward zero).  The one-layer plans ``compile_layer`` returns
-    for single-word layers meet the same callable contract.
+    :func:`dot_reference`, with all per-call weight preparation hoisted
+    into construction.  ``rounding_mode`` selects the round-once output
+    stage (``"rne"`` default, ``"rtz"`` round toward zero).  The one-layer
+    plans ``compile_layer`` returns for single-word layers meet the same
+    callable contract.
     """
 
     out_features: int
     in_features: int
     rounding_mode: str = "rne"
-
-    def _check_activations(self, activations) -> np.ndarray:
-        a = np.asarray(activations, dtype=np.uint32)
-        if a.ndim != 2:
-            raise ValueError(
-                f"activations must be 2-D (batch, in); got shape {a.shape}"
-            )
-        if a.shape[1] != self.in_features:
-            raise ValueError(
-                f"fan-in mismatch: kernel expects {self.in_features}, "
-                f"activations have {a.shape[1]}"
-            )
-        return a
 
     def __call__(self, activations: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -297,13 +318,10 @@ class TableLayerKernel(LayerKernel):
         tables = backend.limb_tables()
         if tables is None:
             raise TypeError(f"{backend.name} has no limb decode tables")
-        max_term_bits = 2 * tables.sig_bits + LIMB_BITS
-        if max_term_bits > 62:
-            raise ValueError("significand products too wide for int64 limbs")
         self.backend = backend
         self.rounding_mode = check_rounding_mode(rounding_mode)
         self._tables = tables
-        self._num_limbs = (tables.max_shift + max_term_bits) // LIMB_BITS + 2
+        self._num_limbs = num_limbs(tables)
 
         weights, bias = _check_weights(weights, bias)
         wp = check_patterns(tables, weights, "weights")
@@ -344,21 +362,12 @@ class TableLayerKernel(LayerKernel):
             )
         self._splits = splits
         self._blocks = blocks
-        self._bias_limbs = None if bp is None else self._compile_bias(bp)
-
-    def _compile_bias(self, bp: np.ndarray) -> np.ndarray:
-        """Each bias pattern as quire-aligned limbs, shape (out, L)."""
-        t = self._tables
-        sig = t.signed_sig[bp]
-        total_shift = t.shift[bp] + t.bias_extra_shift
-        idx = total_shift // LIMB_BITS
-        rem = total_shift - idx * LIMB_BITS
-        limbs = np.zeros((self.out_features, self._num_limbs), dtype=np.int64)
-        limbs[np.arange(self.out_features), idx] = sig << rem
-        return limbs
+        self._bias_limbs = (
+            None if bp is None else _bias_limbs(tables, bp, self._num_limbs)
+        )
 
     def __call__(self, activations: np.ndarray) -> np.ndarray:
-        activations = self._check_activations(activations)
+        activations = _check_activations(activations, self.in_features)
         ap = check_patterns(self._tables, activations, "activations")
         batch = ap.shape[0]
         out_dim, L = self.out_features, self._num_limbs
@@ -397,39 +406,72 @@ class TableLayerKernel(LayerKernel):
         return out
 
 
-class DotLayerKernel(LayerKernel):
-    """Fallback kernel: defer to an engine's ``dot`` per call.
+def dot_reference(
+    backend: NumericFormat,
+    weights: np.ndarray,
+    activations: np.ndarray,
+    bias: np.ndarray | None = None,
+    *,
+    rounding_mode: str = "rne",
+) -> np.ndarray:
+    """The original digit-plane-nest path, retained as the in-tree
+    baseline for kernel bit-identity tests and the throughput benchmark.
 
-    Used only by custom registered families without limb tables; it
-    preserves the compile-then-run API without assuming anything about
-    the engine.
+    ``(out, in)`` weights x ``(batch, in)`` activations -> ``(batch, out)``
+    exact round-once dot products, one float64 matmul per (l, m)
+    digit-plane pair, recomputed from scratch on every call.  Fixed point
+    has no digit planes; its reference is the compiled int64 layer.
     """
+    if isinstance(backend, FixedBackend):
+        kernel = backend.compile_layer(weights, bias, rounding_mode=rounding_mode)
+        return kernel(np.asarray(activations, dtype=np.uint32))
+    check_rounding_mode(rounding_mode)
+    weights, bias = _check_weights(weights, bias)
+    activations = _check_activations(activations, weights.shape[1])
+    digits = digit_planes(backend)
+    tables = backend.limb_tables()
+    wp = check_patterns(tables, weights, "weights")
+    ap = check_patterns(tables, activations, "activations")
 
-    def __init__(
-        self,
-        backend: NumericFormat,
-        weights,
-        bias=None,
-        *,
-        rounding_mode: str = "rne",
-    ):
-        self.backend = backend
-        self.rounding_mode = check_rounding_mode(rounding_mode)
-        weights, bias = _check_weights(weights, bias)
-        self.out_features, self.in_features = weights.shape
-        self._weights = weights
-        self._bias = bias
-        self._engine = backend.engine()
+    out_dim, in_dim = wp.shape
+    batch = ap.shape[0]
+    L = num_limbs(tables)
+    planes = digits.shape[1]
+    if in_dim > 1 << 20:
+        raise ValueError(f"fan-in {in_dim} overflows int64 limb sums")
+    # Digit products are < 2**(2*LIMB_BITS); each float64 matmul must
+    # reduce few enough of them to stay exact, so huge fan-ins are fed
+    # through in chunks and accumulated in int64.
+    in_chunk = max(1, (1 << (53 - 2 * LIMB_BITS)) // max(1, planes))
 
-    def __call__(self, activations: np.ndarray) -> np.ndarray:
-        activations = self._check_activations(activations)
-        if self.rounding_mode == "rne":
-            # Keep the default path compatible with custom engines whose
-            # ``dot`` predates the rounding_mode keyword.
-            return self._engine.dot(self._weights, activations, self._bias)
-        return self._engine.dot(
-            self._weights,
-            activations,
-            self._bias,
-            rounding_mode=self.rounding_mode,
+    dig_w = digits[wp]  # (out, in, planes)
+    dig_a = digits[ap]  # (batch, in, planes)
+    w_live = [dig_w[:, :, l] for l in range(planes)]
+    w_used = [w.any() for w in w_live]
+
+    bias_limbs = None
+    if bias is not None:
+        bias_limbs = _bias_limbs(tables, check_patterns(tables, bias, "bias"), L)
+
+    chunk = max(1, _CHUNK_ELEMENTS // max(1, out_dim * L))
+    out = np.empty((batch, out_dim), dtype=np.uint32)
+    for start in range(0, batch, chunk):
+        stop = min(batch, start + chunk)
+        limbs = np.zeros((stop - start, out_dim, L), dtype=np.int64)
+        for istart in range(0, in_dim, in_chunk):
+            istop = min(in_dim, istart + in_chunk)
+            limbs_f = np.zeros((stop - start, out_dim, L), dtype=np.float64)
+            for m in range(planes):
+                a_plane = dig_a[start:stop, istart:istop, m]
+                if not a_plane.any():
+                    continue
+                for l in range(planes):
+                    if w_used[l]:
+                        limbs_f[:, :, l + m] += a_plane @ w_live[l][:, istart:istop].T
+            limbs += limbs_f.astype(np.int64)
+        if bias_limbs is not None:
+            limbs += bias_limbs[None, :, :]
+        out[start:stop] = backend.encode_from_quire_batch(
+            limbs, mode=rounding_mode
         )
+    return out

@@ -53,10 +53,9 @@ process compiles the same plan for the same model:
 ``layer``
     Fallback: the exact limb :class:`~repro.formats.kernels.TableLayerKernel`
     plus a composed epilogue gather, used when the quire bound exceeds
-    int64; custom formats without limb tables run their
-    ``DotLayerKernel`` here.  Fixed point compiles to its native int64
-    matmul with the shift-round epilogue inlined (its clipped signed
-    outputs *are* monotone ranks, so the fused readout is a plain argmax).
+    int64.  Fixed point compiles to its native int64 matmul with the
+    shift-round epilogue inlined (its clipped signed outputs *are*
+    monotone ranks, so the fused readout is a plain argmax).
 
 The rule: a plane-eligible layer takes ``plane`` when its multiply-adds
 per row, ``in * out``, reach ``_PLANE_MACS_PER_PLANE`` per live activation
@@ -66,10 +65,10 @@ single-word quire bound takes ``layer``.
 
 Exactness: both single-word paths compute the same exact int64 quire word,
 then share the same oracle-derived round table — so every path is
-bit-identical to the others, to the limb kernel, to the engines'
-``dot_reference`` nest, and to the scalar EMACs (property-tested across
-every registered format, both rounding modes, and every forced path in
-``tests/formats/test_network_kernel.py``).
+bit-identical to the others, to the limb kernel, to the
+:func:`~repro.formats.kernels.dot_reference` nest, and to the scalar EMACs
+(property-tested across every registered format, both rounding modes, and
+every forced path in ``tests/formats/test_network_kernel.py``).
 
 A one-layer plan is also what :meth:`~repro.formats.NumericFormat.compile_layer`
 returns for a single-word layer (and for every fixed-point layer), so the
@@ -89,7 +88,6 @@ from . import kernels as _kernels
 from .base import NumericFormat
 from .fixed_backend import FixedBackend
 from .kernels import (
-    DotLayerKernel,
     TableLayerKernel,
     _check_weights,
     _scratch,
@@ -473,8 +471,7 @@ class _LayerStep:
     """Fallback: a layer kernel plus a composed epilogue LUT.
 
     Covers layers whose quire bound exceeds int64 (no single-word round
-    table; the kernel is a ``TableLayerKernel``) and custom formats
-    without limb tables (a ``DotLayerKernel``).  Still fuses
+    table; the kernel is a ``TableLayerKernel``).  Still fuses
     ReLU-and-operand conversion into one pattern-indexed gather.
     """
 
@@ -550,7 +547,8 @@ class NetworkKernel:
     ``layer_kernels`` (one compiled kernel or ``None`` per layer) lets
     ``layer`` steps reuse an already compiled kernel: a table format's
     ``TableLayerKernel`` (a one-layer plan is not reused; a limb kernel
-    is built instead), or any kernel of a family without limb tables.
+    is built instead).  A family that is not fixed point and has no limb
+    tables is refused with ``TypeError``.
     """
 
     def __init__(
@@ -616,17 +614,10 @@ class NetworkKernel:
             step = _FixedStep(backend, weights, bias, activation, mode)
             return step, {"path": "int64", "eligible": ("int64",)}
         if tables is None:
-            if force_path not in (None, "layer"):
-                raise ValueError(
-                    f"{backend.name} has no limb tables; only the layer "
-                    f"path is available"
-                )
-            if kernel is None:
-                kernel = DotLayerKernel(
-                    backend, weights, bias, rounding_mode=mode
-                )
-            step = _LayerStep(backend, kernel, activation)
-            return step, {"path": "layer", "eligible": ("layer",)}
+            raise TypeError(
+                f"{backend.name} has no limb decode tables: a format family "
+                f"that is not fixed point needs limb_tables() to compile"
+            )
 
         wp = check_patterns(tables, weights, "weights")
         bp = None if bias is None else check_patterns(tables, bias, "bias")
@@ -685,6 +676,7 @@ class NetworkKernel:
             )
         if self._tables is not None:
             return check_patterns(self._tables, p, "activations")
+        # Fixed point: every in-range pattern is a valid scaled integer.
         p = np.asarray(p, dtype=np.int64)
         if p.size and (p.min() < 0 or p.max() >= 1 << self.backend.width):
             raise ValueError("activations pattern out of range")
@@ -743,8 +735,8 @@ class NetworkKernel:
         """Per-layer compile decisions: path, eligibility, rule inputs, bytes.
 
         ``macs`` (multiply-adds per row) and ``live_planes`` are the inputs
-        of :func:`choose_path`; ``live_planes`` is ``None`` for formats
-        without limb tables.
+        of :func:`choose_path`; ``live_planes`` is ``None`` for fixed
+        point.
         """
         report = []
         for i, (step, decision) in enumerate(zip(self.steps, self._decisions)):

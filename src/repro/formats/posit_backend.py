@@ -189,11 +189,6 @@ class PositBackend(NumericFormat):
         return bits
 
     # ------------------------------------------------------------------
-    def make_engine(self):
-        from ..core.vector import PositVectorEngine
-
-        return PositVectorEngine(self.fmt)
-
     def make_scalar_emac(self):
         from ..core.emac_posit import PositEmac
 

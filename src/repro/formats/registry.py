@@ -1,10 +1,10 @@
 """Name- and type-based registry of :class:`NumericFormat` backends.
 
 The registry is the single dispatch point of the library: everything that
-used to switch on concrete format classes (``engine_for``,
-``scalar_emac_for``, the quantizers, the sweeps, the CLI) now asks the
-registry instead.  A number system joins the whole stack — vector engine,
-scalar EMAC, quantization, accuracy sweeps, CLI — with one
+used to switch on concrete format classes (``scalar_emac_for``, the
+quantizers, the sweeps, the CLI) now asks the registry instead.  A number
+system joins the whole stack — compiled kernels, scalar EMAC,
+quantization, accuracy sweeps, CLI — with one
 :func:`register_family` call:
 
     register_family(FormatFamily(
@@ -16,7 +16,7 @@ scalar EMAC, quantization, accuracy sweeps, CLI — with one
     ))
 
 Backends are cached per format descriptor (descriptors are frozen
-dataclasses), so decode tables, digit planes, engines, and rank tables are
+dataclasses), so decode tables, digit planes, and rank tables are
 built once per process and shared by every consumer — sweep workers,
 compiled layer kernels, and the serving layer's resident models alike
 (safe across executor threads: kernel scratch is per-thread).
@@ -65,8 +65,8 @@ class FormatFamily:
     sweep_candidates: Callable[[int], Sequence[object]] | None = None
 
 
-#: Widest pattern the batched kernels handle: decode tables and the vector
-#: engines index ``2**width``-entry tables.
+#: Widest pattern the batched kernels handle: decode, digit and rank tables
+#: index ``2**width`` entries.
 _MAX_WIDTH = 16
 
 _FAMILIES: dict[str, FormatFamily] = {}

@@ -2,8 +2,8 @@
 
 For the bit widths the paper studies (n <= 8) a posit format has at most 256
 patterns, so decode and many unary operations become table lookups.  The
-vectorized EMAC engine (:mod:`repro.core.vector`) indexes these numpy arrays
-with whole tensors of bit patterns at once.
+posit backend's compiled kernels (:mod:`repro.formats.kernels`) index these
+numpy arrays with whole tensors of bit patterns at once.
 
 Tables are cached per format; building one costs a single pass over all
 ``2**n`` patterns with the scalar decoder, which also makes the tables a

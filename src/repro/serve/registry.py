@@ -64,7 +64,9 @@ class ServedModel:
         and stacking the patterns is bit-identical to quantizing a stacked
         float batch — the first half of the served-equals-direct guarantee.
         """
-        return self.network.engine.quantize(np.asarray(inputs, dtype=np.float64))
+        return self.network.backend.quantize_batch(
+            np.asarray(inputs, dtype=np.float64)
+        )
 
     def describe(self) -> dict:
         """JSON-ready row for the ``/models`` endpoint."""

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import sys
 import threading
 import time
@@ -88,7 +89,8 @@ _INLINE_BODY_BYTES = 64 * 1024
 
 #: The 400 answer for feature values that are not finite numbers.  JSON
 #: ``NaN`` / ``Infinity`` (and overflowing literals like ``1e999``) parse
-#: to non-finite floats, and booleans would silently read as 0.0 / 1.0.
+#: to non-finite floats, integer literals beyond float64 cannot convert at
+#: all, and booleans would silently read as 0.0 / 1.0.
 _BAD_INPUTS = (
     "'inputs' must hold finite numbers (no NaN, Infinity or booleans)"
 )
@@ -598,6 +600,8 @@ class InferenceServer:
             raise _HttpError(400, "missing 'inputs'")
         try:
             inputs = np.asarray(raw, dtype=np.float64)
+        except OverflowError:  # an integer literal beyond float64
+            raise _HttpError(400, _BAD_INPUTS) from None
         except (TypeError, ValueError):
             raise _HttpError(400, "'inputs' must be a numeric array") from None
         if not np.isfinite(inputs).all():
@@ -739,9 +743,13 @@ class InferenceServer:
             return None
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise _HttpError(400, "'deadline_ms' must be a positive number")
-        if not raw > 0 or not np.isfinite(raw):
+        try:
+            budget = float(raw)
+        except OverflowError:  # an integer literal beyond float64
+            budget = math.inf
+        if not budget > 0 or not math.isfinite(budget):
             raise _HttpError(400, "'deadline_ms' must be a positive number")
-        return loop.time() + float(raw) / 1000.0
+        return loop.time() + budget / 1000.0
 
     async def _run_canary(
         self,
@@ -754,7 +762,7 @@ class InferenceServer:
     ) -> dict:
         """One sampled bit-identity check: both arms, served vs direct.
 
-        The other arm quantizes the same float inputs with its own engine
+        The other arm quantizes the same float inputs with its own backend
         and answers through its own (batched) path; each arm's served
         response is then compared against a standalone
         ``predict_patterns`` recompute of its own patterns.  A mismatch

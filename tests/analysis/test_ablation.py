@@ -78,7 +78,7 @@ class TestNaiveForward:
         ds = iris_model.dataset
         net = iris_networks[standard_format(6, 1)]
         out = naive_forward(net, ds.test_x)
-        values = net.engine.decode_values(out)
+        values = net.backend.decode_batch(out)
         decoded = float(np.mean(np.argmax(values, axis=1) == ds.test_y))
         assert naive_accuracy(net, ds.test_x, ds.test_y) == decoded
 

@@ -1,14 +1,14 @@
-"""Engine outputs must match the scalar EMAC path on the paper's datasets.
+"""Compiled outputs must match the scalar EMAC path on the paper's datasets.
 
 Networks use randomly quantized parameters (no training needed); inputs are
-the real iris/WBC test sets.  The whole batch goes through the vectorized
-engine, a sample of rows through the scalar reference EMACs.
+the real iris/WBC test sets.  The whole batch goes through the compiled
+kernels, a sample of rows through the scalar reference EMACs.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import PositronNetwork, engine_for
+from repro.core import PositronNetwork
 from repro.datasets import load_iris, load_wbc
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
@@ -30,8 +30,9 @@ def test_forward_bit_identical_to_scalar(dataset_name, fmt):
     biases = [rng.normal(size=o) * 0.1 for o in topology[1:]]
     net = PositronNetwork.from_float_params(fmt, weights, biases)
 
-    engine = engine_for(fmt)
-    patterns = engine.quantize(np.asarray(dataset.test_x, dtype=np.float64))
+    patterns = net.backend.quantize_batch(
+        np.asarray(dataset.test_x, dtype=np.float64)
+    )
     vec = net.forward_patterns(patterns)
     assert vec.shape == (len(dataset.test_x), topology[-1])
 

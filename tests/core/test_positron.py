@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import PositronNetwork, engine_for
+from repro.core import PositronNetwork
 from repro.core.positron import PositronLayer
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
@@ -13,12 +13,12 @@ P8 = standard_format(8, 1)
 
 
 def tiny_network(fmt, rng, topology=(4, 5, 3)):
-    engine = engine_for(fmt)
     weights, biases = [], []
     for fan_in, fan_out in zip(topology, topology[1:]):
         weights.append(rng.normal(scale=0.8, size=(fan_out, fan_in)))
         biases.append(rng.normal(scale=0.2, size=fan_out))
-    return PositronNetwork.from_float_params(fmt, weights, biases), engine
+    net = PositronNetwork.from_float_params(fmt, weights, biases)
+    return net, net.backend
 
 
 class TestConstruction:
@@ -29,9 +29,8 @@ class TestConstruction:
         assert net.layers[-1].activation == "identity"
 
     def test_layer_size_mismatch(self, rng):
-        engine = engine_for(P8)
-        l1 = PositronLayer(P8, np.zeros((5, 4), np.uint32), np.zeros(5, np.uint32), "relu", engine)
-        l2 = PositronLayer(P8, np.zeros((3, 6), np.uint32), np.zeros(3, np.uint32), "identity", engine)
+        l1 = PositronLayer(P8, np.zeros((5, 4), np.uint32), np.zeros(5, np.uint32), "relu")
+        l2 = PositronLayer(P8, np.zeros((3, 6), np.uint32), np.zeros(3, np.uint32), "identity")
         with pytest.raises(ValueError):
             PositronNetwork(P8, [l1, l2])
 
@@ -43,14 +42,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             PositronLayer(
                 P8, np.zeros((2, 2), np.uint32), np.zeros(2, np.uint32),
-                "sigmoid", engine_for(P8),
+                "sigmoid",
             )
 
     def test_bias_shape_check(self):
         with pytest.raises(ValueError):
             PositronLayer(
                 P8, np.zeros((2, 2), np.uint32), np.zeros(3, np.uint32),
-                "relu", engine_for(P8),
+                "relu",
             )
 
     def test_mismatched_array_counts(self):
@@ -65,17 +64,17 @@ class TestConstruction:
 )
 class TestForwardConsistency:
     def test_vector_equals_scalar_path(self, fmt, rng):
-        net, engine = tiny_network(fmt, rng)
+        net, backend = tiny_network(fmt, rng)
         inputs = rng.normal(size=(3, 4))
-        patterns = engine.quantize(inputs)
+        patterns = backend.quantize_batch(inputs)
         vec_out = net.forward_patterns(patterns)
         for i in range(3):
             scalar_out = net.forward_scalar([int(p) for p in patterns[i]])
             assert [int(b) for b in vec_out[i]] == scalar_out
 
     def test_single_sample_promotion(self, fmt, rng):
-        net, engine = tiny_network(fmt, rng)
-        patterns = engine.quantize(rng.normal(size=4))
+        net, backend = tiny_network(fmt, rng)
+        patterns = backend.quantize_batch(rng.normal(size=4))
         out = net.forward_patterns(patterns)
         assert out.shape == (1, 3)
 
@@ -96,10 +95,10 @@ class TestInference:
 
     def test_relu_zeroes_hidden_negatives(self, rng):
         """Hidden activations out of layer 0 must be non-negative."""
-        net, engine = tiny_network(P8, rng)
-        patterns = engine.quantize(rng.normal(size=(5, 4)))
+        net, backend = tiny_network(P8, rng)
+        patterns = backend.quantize_batch(rng.normal(size=(5, 4)))
         hidden = net.layers[0].forward(patterns)
-        values = engine.decode_values(hidden)
+        values = backend.decode_batch(hidden)
         assert np.all(values >= 0)
 
     def test_forward_values_decodes(self, rng):
@@ -132,10 +131,10 @@ class TestFusedPlanLifecycle:
     def test_recompile_after_weight_mutation(self, rng):
         """Mutating weights after the plan compiled requires recompile();
         the fused forward must then track the new parameters exactly."""
-        net, engine = tiny_network(P8, rng)
-        X = engine.quantize(rng.normal(size=(6, 4)))
+        net, backend = tiny_network(P8, rng)
+        X = backend.quantize_batch(rng.normal(size=(6, 4)))
         before = net.forward_patterns(X).copy()  # warms the cached plan
-        net.layers[0].weights[...] = engine.quantize(
+        net.layers[0].weights[...] = backend.quantize_batch(
             rng.normal(scale=0.8, size=net.layers[0].weights.shape)
         )
         net.recompile()
@@ -144,10 +143,10 @@ class TestFusedPlanLifecycle:
         assert not np.array_equal(after, before)
 
     def test_mode_twin_compiles_its_own_plan(self, rng):
-        net, engine = tiny_network(P8, rng)
+        net, backend = tiny_network(P8, rng)
         twin = net.with_rounding_mode("rtz")
         assert twin.network_kernel() is not net.network_kernel()
-        X = engine.quantize(rng.normal(size=(5, 4)))
+        X = backend.quantize_batch(rng.normal(size=(5, 4)))
         assert np.array_equal(
             twin.forward_patterns(X), twin.forward_patterns_layers(X)
         )
@@ -164,8 +163,8 @@ class TestFusedPlanLifecycle:
         assert net.forward_patterns(empty).shape == (0, 3)
 
     def test_predict_patterns_single_row_1d(self, rng):
-        net, engine = tiny_network(P8, rng)
-        x = engine.quantize(rng.normal(size=4))
+        net, backend = tiny_network(P8, rng)
+        x = backend.quantize_batch(rng.normal(size=4))
         pred = net.predict_patterns(x)
         assert pred.shape == (1,)
         assert np.array_equal(pred, net.predict_patterns(x[None, :]))

@@ -1,15 +1,16 @@
-"""The vector engines must be bit-identical to the scalar EMAC cores."""
+"""Batched layer evaluation must be bit-identical to the scalar EMAC cores.
+
+Every dot product runs through both batched paths of the format backend —
+the compiled kernel (``compile_layer``) and the retained reference nest
+(``formats.dot_reference``) — and the unary ops through its ``*_batch``
+methods.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    FixedVectorEngine,
-    FloatVectorEngine,
-    PositVectorEngine,
-    engine_for,
-    scalar_emac_for,
-)
+from repro import formats
+from repro.core import scalar_emac_for
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format, tables_for as float_tables
 from repro.posit import tables_for as posit_tables
@@ -48,29 +49,54 @@ def any_fmt(request):
     return ALL_FORMATS[request.param]
 
 
+def compiled_dot(fmt, W, X, B=None):
+    """One-shot compile-and-run of a layer through the format's backend."""
+    return formats.backend_for(fmt).compile_layer(W, B)(X)
+
+
+def reference_dot(fmt, W, X, B=None):
+    """The retained reference nest over the same backend."""
+    return formats.dot_reference(formats.backend_for(fmt), W, X, B)
+
+
+def dot(fmt, W, X, B=None):
+    """Compiled kernel output, checked against the reference nest."""
+    out = compiled_dot(fmt, W, X, B)
+    assert np.array_equal(out, reference_dot(fmt, W, X, B))
+    return out
+
+
 class TestEngineFactory:
+    """``formats.backend_for``: the one per-format object every layer,
+    sweep and served model uses."""
+
     def test_dispatch(self):
-        assert isinstance(engine_for(standard_format(8, 1)), PositVectorEngine)
-        assert isinstance(engine_for(float_format(4, 3)), FloatVectorEngine)
-        assert isinstance(engine_for(fixed_format(8, 4)), FixedVectorEngine)
+        assert isinstance(
+            formats.backend_for(standard_format(8, 1)), formats.PositBackend
+        )
+        assert isinstance(
+            formats.backend_for(float_format(4, 3)), formats.FloatBackend
+        )
+        assert isinstance(
+            formats.backend_for(fixed_format(8, 4)), formats.FixedBackend
+        )
 
     def test_unknown_type(self):
         with pytest.raises(TypeError):
-            engine_for("posit8")
+            formats.backend_for("posit8")
 
     def test_width(self, any_fmt):
-        assert engine_for(any_fmt).width == any_fmt.n
+        assert formats.backend_for(any_fmt).width == any_fmt.n
 
 
 class TestBitIdenticalToScalar:
     def test_random_layers(self, any_fmt, rng):
-        engine = engine_for(any_fmt)
         emac = scalar_emac_for(any_fmt)
         hi = 1 << any_fmt.n
         W = scrub(any_fmt, rng.integers(0, hi, size=(4, 11), dtype=np.uint32))
         X = scrub(any_fmt, rng.integers(0, hi, size=(6, 11), dtype=np.uint32))
         B = scrub(any_fmt, rng.integers(0, hi, size=(4,), dtype=np.uint32))
-        out = engine.dot(W, X, B)
+        out = dot(any_fmt, W, X, B)
         assert out.shape == (6, 4) and out.dtype == np.uint32
         for i in range(6):
             for o in range(4):
@@ -82,24 +108,22 @@ class TestBitIdenticalToScalar:
                 assert int(out[i, o]) == expect, (any_fmt, i, o)
 
     def test_no_bias(self, any_fmt, rng):
-        engine = engine_for(any_fmt)
         emac = scalar_emac_for(any_fmt)
         hi = 1 << any_fmt.n
         W = scrub(any_fmt, rng.integers(0, hi, size=(3, 7), dtype=np.uint32))
         X = scrub(any_fmt, rng.integers(0, hi, size=(2, 7), dtype=np.uint32))
-        out = engine.dot(W, X)
+        out = dot(any_fmt, W, X)
         for i in range(2):
             for o in range(3):
                 expect = emac.dot([int(w) for w in W[o]], [int(x) for x in X[i]])
                 assert int(out[i, o]) == expect
 
     def test_fan_in_one(self, any_fmt, rng):
-        engine = engine_for(any_fmt)
         emac = scalar_emac_for(any_fmt)
         hi = 1 << any_fmt.n
         W = scrub(any_fmt, rng.integers(0, hi, size=(2, 1), dtype=np.uint32))
         X = scrub(any_fmt, rng.integers(0, hi, size=(3, 1), dtype=np.uint32))
-        out = engine.dot(W, X)
+        out = dot(any_fmt, W, X)
         for i in range(3):
             for o in range(2):
                 assert int(out[i, o]) == emac.dot([int(W[o, 0])], [int(X[i, 0])])
@@ -109,25 +133,21 @@ class TestBitIdenticalToScalar:
         from repro.formats import kernels
 
         fmt = standard_format(8, 1)
-        engine = engine_for(fmt)
         W = scrub(fmt, rng.integers(0, 256, size=(3, 9), dtype=np.uint32))
         X = scrub(fmt, rng.integers(0, 256, size=(10, 9), dtype=np.uint32))
-        full = engine.dot(W, X)
+        full = dot(fmt, W, X)
         monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", 30)  # force tiny chunks
-        engine2 = engine_for(fmt)
-        chunked = engine2.dot(W, X)
+        chunked = dot(fmt, W, X)
         assert np.array_equal(full, chunked)
 
     def test_all_zero_inputs(self, any_fmt):
-        engine = engine_for(any_fmt)
         W = np.zeros((2, 4), dtype=np.uint32)
         X = np.zeros((3, 4), dtype=np.uint32)
-        out = engine.dot(W, X)
+        out = dot(any_fmt, W, X)
         assert np.all(out == 0)
 
     def test_extreme_patterns(self, any_fmt):
         """All-maxpos inputs: saturation behaviour must match scalar."""
-        engine = engine_for(any_fmt)
         emac = scalar_emac_for(any_fmt)
         from repro.posit.format import PositFormat
 
@@ -140,68 +160,74 @@ class TestBitIdenticalToScalar:
         X = np.full((1, 8), mx, dtype=np.uint32)
         W = scrub(any_fmt, W)
         X = scrub(any_fmt, X)
-        out = engine.dot(W, X)
+        out = dot(any_fmt, W, X)
         assert int(out[0, 0]) == emac.dot(
             [int(w) for w in W[0]], [int(x) for x in X[0]]
         )
 
 
 class TestValidation:
+    """Both batched paths reject malformed shapes and invalid patterns."""
+
+    PATHS = (compiled_dot, reference_dot)
+
     def test_shape_checks(self):
-        engine = engine_for(standard_format(8, 1))
-        with pytest.raises(ValueError):
-            engine.dot(np.zeros((2, 3), np.uint32), np.zeros((2, 4), np.uint32))
-        with pytest.raises(ValueError):
-            engine.dot(np.zeros(3, np.uint32), np.zeros((2, 3), np.uint32))
-        with pytest.raises(ValueError):
-            engine.dot(
-                np.zeros((2, 3), np.uint32),
-                np.zeros((2, 3), np.uint32),
-                np.zeros(3, np.uint32),
-            )
+        fmt = standard_format(8, 1)
+        for run in self.PATHS:
+            with pytest.raises(ValueError):
+                run(fmt, np.zeros((2, 3), np.uint32), np.zeros((2, 4), np.uint32))
+            with pytest.raises(ValueError):
+                run(fmt, np.zeros(3, np.uint32), np.zeros((2, 3), np.uint32))
+            with pytest.raises(ValueError):
+                run(
+                    fmt,
+                    np.zeros((2, 3), np.uint32),
+                    np.zeros((2, 3), np.uint32),
+                    np.zeros(3, np.uint32),
+                )
 
     def test_nar_rejected(self):
         fmt = standard_format(8, 1)
-        engine = engine_for(fmt)
         bad = np.full((1, 2), fmt.nar_pattern, dtype=np.uint32)
-        with pytest.raises(ValueError):
-            engine.dot(bad, np.zeros((1, 2), np.uint32))
+        for run in self.PATHS:
+            with pytest.raises(ValueError):
+                run(fmt, bad, np.zeros((1, 2), np.uint32))
 
     def test_reserved_rejected(self):
         fmt = float_format(4, 3)
-        engine = engine_for(fmt)
         inf_like = np.full((1, 2), 0b01111000, dtype=np.uint32)
-        with pytest.raises(ValueError):
-            engine.dot(inf_like, np.zeros((1, 2), np.uint32))
+        for run in self.PATHS:
+            with pytest.raises(ValueError):
+                run(fmt, inf_like, np.zeros((1, 2), np.uint32))
 
     def test_out_of_range_pattern_rejected(self):
         fmt = fixed_format(8, 4)
-        engine = engine_for(fmt)
-        with pytest.raises(ValueError):
-            engine.dot(
-                np.full((1, 2), 300, dtype=np.uint32), np.zeros((1, 2), np.uint32)
-            )
+        for run in self.PATHS:
+            with pytest.raises(ValueError):
+                run(
+                    fmt,
+                    np.full((1, 2), 300, dtype=np.uint32),
+                    np.zeros((1, 2), np.uint32),
+                )
 
 
 class TestUnaryOps:
     def test_relu_matches_tables(self, rng):
         fmt = standard_format(8, 1)
-        engine = engine_for(fmt)
         patterns = rng.integers(0, 256, size=37, dtype=np.uint32)
-        out = engine.relu(patterns)
+        out = formats.backend_for(fmt).relu_batch(patterns)
         expect = posit_tables(fmt).relu[patterns.astype(np.int64)]
         assert np.array_equal(out, expect.astype(np.uint32))
 
     def test_decode_values(self):
-        fmt = fixed_format(8, 4)
-        engine = engine_for(fmt)
+        backend = formats.backend_for(fixed_format(8, 4))
         patterns = np.array([0, 16, 0xF0], dtype=np.uint32)  # 0, 1.0, -1.0
-        assert np.allclose(engine.decode_values(patterns), [0.0, 1.0, -1.0])
+        assert np.allclose(backend.decode_batch(patterns), [0.0, 1.0, -1.0])
 
     def test_quantize_decode_roundtrip(self, any_fmt, rng):
-        engine = engine_for(any_fmt)
+        backend = formats.backend_for(any_fmt)
         values = rng.normal(size=16)
-        patterns = engine.quantize(values)
-        back = engine.decode_values(patterns)
-        again = engine.quantize(back)
+        patterns = backend.quantize_batch(values)
+        back = backend.decode_batch(patterns)
+        again = backend.quantize_batch(back)
         assert np.array_equal(patterns, again)

@@ -1,10 +1,16 @@
-"""Hypothesis property tests for the vectorized exact engines."""
+"""Hypothesis property tests for the batched exact layer evaluation.
+
+Layers run through the format backend's compiled kernel
+(``compile_layer``); the bit-identity property also checks the retained
+reference nest (``formats.dot_reference``).
+"""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import engine_for, scalar_emac_for
+from repro import formats
+from repro.core import scalar_emac_for
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format, tables_for as float_tables
 from repro.posit.format import standard_format
@@ -41,7 +47,8 @@ def scrub(fmt, patterns):
     with_bias=st.booleans(),
 )
 def test_engine_bit_identical_to_scalar(fmt_idx, seed, out_dim, in_dim, batch, with_bias):
-    """Random layer shapes: engine output == scalar EMAC output, bit for bit."""
+    """Random layer shapes: compiled output == reference nest == scalar
+    EMAC output, bit for bit."""
     fmt = FORMATS[fmt_idx]
     rng = np.random.default_rng(seed)
     hi = 1 << fmt.n
@@ -49,9 +56,10 @@ def test_engine_bit_identical_to_scalar(fmt_idx, seed, out_dim, in_dim, batch, w
     X = scrub(fmt, rng.integers(0, hi, size=(batch, in_dim), dtype=np.uint32))
     B = scrub(fmt, rng.integers(0, hi, size=(out_dim,), dtype=np.uint32)) if with_bias else None
 
-    engine = engine_for(fmt)
+    backend = formats.backend_for(fmt)
     emac = scalar_emac_for(fmt)
-    out = engine.dot(W, X, B)
+    out = backend.compile_layer(W, B)(X)
+    assert np.array_equal(out, formats.dot_reference(backend, W, X, B))
     for i in range(batch):
         for o in range(out_dim):
             expect = emac.dot(
@@ -75,10 +83,10 @@ def test_engine_dot_order_invariant(fmt_idx, seed, in_dim):
     hi = 1 << fmt.n
     w = scrub(fmt, rng.integers(0, hi, size=(1, in_dim), dtype=np.uint32))
     x = scrub(fmt, rng.integers(0, hi, size=(1, in_dim), dtype=np.uint32))
-    engine = engine_for(fmt)
-    base = engine.dot(w, x)[0, 0]
+    backend = formats.backend_for(fmt)
+    base = backend.compile_layer(w)(x)[0, 0]
     perm = rng.permutation(in_dim)
-    assert engine.dot(w[:, perm], x[:, perm])[0, 0] == base
+    assert backend.compile_layer(w[:, perm])(x[:, perm])[0, 0] == base
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,8 +105,8 @@ def test_engine_negation_symmetry(fmt_idx, seed):
     hi = 1 << fmt.n
     W = scrub(fmt, rng.integers(0, hi, size=(2, 6), dtype=np.uint32))
     X = scrub(fmt, rng.integers(0, hi, size=(2, 6), dtype=np.uint32))
-    engine = engine_for(fmt)
-    out = engine.dot(W, X)
+    backend = formats.backend_for(fmt)
+    out = backend.compile_layer(W)(X)
 
     # negate all weights through the format's negate table
     from repro.floatp.format import FloatFormat
@@ -109,7 +117,7 @@ def test_engine_negation_symmetry(fmt_idx, seed):
     else:
         neg = posit_tables(fmt).negate
     W_neg = neg[W.astype(np.int64)].astype(np.uint32)
-    out_neg = engine.dot(W_neg, X)
+    out_neg = backend.compile_layer(W_neg)(X)
     # The negation of each output pattern:
     expect = neg[out.astype(np.int64)].astype(np.uint32)
     assert np.array_equal(out_neg, expect)

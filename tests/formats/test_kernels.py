@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import formats
-from repro.core import engine_for, scalar_emac_for
+from repro.core import scalar_emac_for
 from repro.core.positron import PositronNetwork
 from repro.formats.kernels import quire_bound_bits
 from repro.formats.network import NetworkKernel
@@ -46,6 +46,11 @@ def scrub(fmt, patterns):
     if tables is not None:
         p[tables.invalid[p]] = 0
     return p
+
+
+def reference(fmt, W, X, B=None):
+    """The retained reference nest (``formats.dot_reference``) for ``fmt``."""
+    return formats.dot_reference(formats.backend_for(fmt), W, X, B)
 
 
 @pytest.fixture(params=range(len(FORMATS)), ids=lambda i: str(FORMATS[i]))
@@ -91,7 +96,7 @@ class TestKernelBitIdentity:
         out = kernel(X)
         assert out.shape == (batch, out_dim)
         assert out.dtype == np.uint32
-        assert np.array_equal(out, engine_for(fmt).dot_reference(W, X, B))
+        assert np.array_equal(out, reference(fmt, W, X, B))
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -125,7 +130,7 @@ class TestKernelBitIdentity:
     def test_fan_in_one(self, any_fmt, rng):
         W, X, B = random_layer(any_fmt, rng, 2, 1, 4, True)
         kernel = formats.backend_for(any_fmt).compile_layer(W, B)
-        assert np.array_equal(kernel(X), engine_for(any_fmt).dot_reference(W, X, B))
+        assert np.array_equal(kernel(X), reference(any_fmt, W, X, B))
 
     def test_chunk_boundary_crossing(self, any_fmt, rng, monkeypatch):
         """Results must not depend on the batch-chunk size."""
@@ -158,20 +163,19 @@ class TestKernelBitIdentity:
         B = np.zeros(3, dtype=np.uint32)
         kernel = formats.backend_for(any_fmt).compile_layer(W, B)
         assert np.array_equal(
-            kernel(X), engine_for(any_fmt).dot_reference(W, X, B)
+            kernel(X), reference(any_fmt, W, X, B)
         )
 
     def test_single_live_weight_plane(self, rng):
         """Weights confined to low digit planes leave high planes all-zero."""
         fmt = standard_format(8, 1)
         backend = formats.backend_for(fmt)
-        engine = engine_for(fmt)
         # Tiny-magnitude weights: digits live in the lowest plane only.
-        W = engine.quantize(rng.uniform(1e-6, 1e-5, size=(3, 8)))
+        W = backend.quantize_batch(rng.uniform(1e-6, 1e-5, size=(3, 8)))
         X = scrub(fmt, rng.integers(0, 256, size=(5, 8), dtype=np.uint32))
-        B = engine.quantize(rng.uniform(-0.1, 0.1, size=3))
+        B = backend.quantize_batch(rng.uniform(-0.1, 0.1, size=3))
         kernel = backend.compile_layer(W, B)
-        assert np.array_equal(kernel(X), engine.dot_reference(W, X, B))
+        assert np.array_equal(kernel(X), formats.dot_reference(backend, W, X, B))
 
     def test_extreme_weights_fall_back_bit_identically(self, rng):
         """maxpos-heavy weights leave the single-word plans; the
@@ -186,7 +190,7 @@ class TestKernelBitIdentity:
         kernel = backend.compile_layer(W, B)
         # posit8_2's range forces the limb path
         assert isinstance(kernel, formats.TableLayerKernel)
-        assert np.array_equal(kernel(X), engine_for(fmt).dot_reference(W, X, B))
+        assert np.array_equal(kernel(X), reference(fmt, W, X, B))
 
     def test_single_word_layer_without_plane_takes_int64(self):
         """A near-maxpos posit8_1 row keeps the quire inside one int64 but
@@ -201,7 +205,7 @@ class TestKernelBitIdentity:
         assert isinstance(kernel, NetworkKernel)
         assert kernel.explain()[0]["eligible"] == ["int64", "layer"]
         assert kernel.explain()[0]["path"] == "int64"
-        assert np.array_equal(kernel(X), engine_for(fmt).dot_reference(W, X))
+        assert np.array_equal(kernel(X), reference(fmt, W, X))
 
     def test_fan_in_split_accumulation(self, rng):
         """Fan-in past the float64-exactness bound forces multiple GEMM
@@ -214,7 +218,7 @@ class TestKernelBitIdentity:
         B = scrub(fmt, rng.integers(0, 256, size=(2,), dtype=np.uint32))
         kernel = formats.TableLayerKernel(backend, W, B)
         assert len(kernel._splits) > 1
-        assert np.array_equal(kernel(X), engine_for(fmt).dot_reference(W, X, B))
+        assert np.array_equal(kernel(X), reference(fmt, W, X, B))
         fmt = standard_format(8, 1)
         backend = formats.backend_for(fmt)
         bad = np.full((1, 2), fmt.nar_pattern, dtype=np.uint32)
@@ -281,7 +285,7 @@ def _tableless(fmt):
     delegated = (
         "quantize_batch", "decode_batch", "relu_batch",
         "encode_from_quire_batch", "encode_from_quire_scalar",
-        "truncate_scalar", "make_engine", "make_scalar_emac",
+        "truncate_scalar", "make_scalar_emac",
     )
     ns = {
         name: (lambda self, *a, _n=name, **k: getattr(fixed, _n)(*a, **k))
@@ -342,17 +346,16 @@ class TestCompileRule:
         assert kernel.explain()[0]["path"] == "int64"
         assert np.array_equal(kernel(X), scalar_oracle(fmt, W, X, B, mode))
 
-    def test_tableless_family_gets_dot_kernel(self, rng):
+    def test_tableless_family_is_refused(self, rng):
+        """A family that is not fixed point must expose limb tables: it is
+        refused at compile time, for a layer and a whole network alike."""
         fmt = fixed_format(8, 4)
         backend = _tableless(fmt)
-        W, X, B = random_layer(fmt, rng, 3, 5, 4, True)
-        kernel = backend.compile_layer(W, B)
-        assert isinstance(kernel, formats.DotLayerKernel)
-        expected = engine_for(fmt).dot(W, X, B)
-        assert np.array_equal(kernel(X), expected)
-        plan = backend.compile_network([(W, B, "identity")])
-        assert plan.explain()[0]["path"] == "layer"
-        assert np.array_equal(plan.forward(X), expected)
+        W, _, B = random_layer(fmt, rng, 3, 5, 4, True)
+        with pytest.raises(TypeError, match="limb_tables"):
+            backend.compile_layer(W, B)
+        with pytest.raises(TypeError, match="limb_tables"):
+            backend.compile_network([(W, B, "identity")])
 
 
 class TestTableLayerKernel:
@@ -375,8 +378,7 @@ class TestTableLayerKernel:
         kernel = formats.TableLayerKernel(backend, W, B, rounding_mode=mode)
         out = kernel(X)
         assert out.dtype == np.uint32 and out.shape == (6, 4)
-        engine = engine_for(any_fmt)
-        ref = engine.dot_reference(W, X, B, rounding_mode=mode)
+        ref = formats.dot_reference(backend, W, X, B, rounding_mode=mode)
         assert np.array_equal(out, ref)
         assert np.array_equal(out, scalar_oracle(any_fmt, W, X, B, mode))
         compiled = backend.compile_layer(W, B, rounding_mode=mode)
@@ -421,21 +423,23 @@ class TestNetworkLevel:
     @pytest.mark.parametrize("name", ["posit8_1", "float4_3", "fixed8_4"])
     def test_compiled_network_matches_reference_paths(self, iris, name):
         """Full golden-pinned iris parent deployed at 8 bits: the compiled
-        forward equals the PR 1 engine path sample-for-sample, and the
+        forward equals the reference nest sample-for-sample, and the
         scalar EMAC path on a sample subset."""
         backend = formats.get(name)
         weights, biases = iris.model.export_params()
         net = PositronNetwork.from_float_params(backend.fmt, weights, biases)
-        X = net.engine.quantize(np.asarray(iris.dataset.test_x, dtype=np.float64))
+        X = net.backend.quantize_batch(
+            np.asarray(iris.dataset.test_x, dtype=np.float64)
+        )
 
         compiled = net.forward_patterns(X)
         reference = X
         for layer in net.layers:
-            reference = net.engine.dot_reference(
-                layer.weights, reference, layer.bias
+            reference = formats.dot_reference(
+                net.backend, layer.weights, reference, layer.bias
             )
             if layer.activation == "relu":
-                reference = net.engine.relu(reference)
+                reference = net.backend.relu_batch(reference)
         assert np.array_equal(compiled, reference)
 
         for i in range(0, X.shape[0], 16):
@@ -447,7 +451,7 @@ class TestNetworkLevel:
         weights, biases = iris.model.export_params()
         net = PositronNetwork.from_float_params(backend.fmt, weights, biases)
         X = np.asarray(iris.dataset.test_x, dtype=np.float64)
-        patterns = net.engine.quantize(X)
-        decoded = np.argmax(net.engine.decode_values(net.forward_patterns(patterns)), axis=1)
+        patterns = net.backend.quantize_batch(X)
+        decoded = np.argmax(net.backend.decode_batch(net.forward_patterns(patterns)), axis=1)
         assert np.array_equal(net.predict_patterns(patterns), decoded)
         assert np.array_equal(net.predict(X), decoded)

@@ -1,12 +1,12 @@
 """Bit-identity of the fused whole-network kernels.
 
 The fused :class:`~repro.formats.network.NetworkKernel` must reproduce the
-layer-by-layer compiled forward (kernel + engine ReLU per layer) and the
+layer-by-layer compiled forward (kernel + pattern ReLU per layer) and the
 scalar EMAC reference, bit for bit, for every registered format, both
 rounding modes, and every words path forced on — including the oracle-built
 round table against ``encode_from_quire_words`` over the whole single-word
 window, its O(1) bucket index against plain ``searchsorted``, and the
-pattern-space ReLU composition against ``engine.relu`` on every valid
+pattern-space ReLU composition against ``relu_batch`` on every valid
 pattern.  Shape edges (empty batches, single rows, fan-in 1) are covered
 per forced path.  The default plan is a pure function of the layers: the
 path rule is pinned per paper layer shape, and two fresh processes must
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro import formats
-from repro.core import engine_for
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
@@ -103,11 +102,12 @@ def reference_forward(net, X):
     shares no code with the compiled kernels or plans."""
     out = X
     for layer in net.layers:
-        out = net.engine.dot_reference(
-            layer.weights, out, layer.bias, rounding_mode=net.rounding_mode
+        out = formats.dot_reference(
+            net.backend, layer.weights, out, layer.bias,
+            rounding_mode=net.rounding_mode,
         )
         if layer.activation == "relu":
-            out = net.engine.relu(out)
+            out = net.backend.relu_batch(out)
     return out
 
 
@@ -272,14 +272,13 @@ class TestFusedBitIdentity:
             assert np.array_equal(plan.forward(X), expected), path
 
     def test_relu_table_matches_engine_on_every_valid_pattern(self, any_fmt):
-        """Pattern-space ReLU composition == engine.relu, all valid patterns.
+        """Pattern-space ReLU composition == relu_batch, all valid patterns.
 
         Exercised through a 1x1 identity-weight layer whose quire holds the
         input exactly, so the fused epilogue's relu-composed slot table is
         probed at every valid activation pattern.
         """
         backend = formats.backend_for(any_fmt)
-        engine = engine_for(any_fmt)
         hi = 1 << any_fmt.n
         valid = np.arange(hi, dtype=np.uint32)
         tables = backend.limb_tables()
@@ -290,9 +289,7 @@ class TestFusedBitIdentity:
         W = np.full((1, 1), one, dtype=np.uint32)
         B = np.full(1, zero, dtype=np.uint32)
         X = valid.reshape(-1, 1)
-        expected = engine.relu(
-            backend.compile_layer(W, B)(X)
-        )
+        expected = backend.relu_batch(backend.compile_layer(W, B)(X))
         for path, plan in forced_plans(backend, [(W, B, "relu")], "rne"):
             assert np.array_equal(plan.forward(X), expected), path
 

@@ -34,7 +34,7 @@ def random_limbs(rng, rows, num_limbs, magnitude_bits):
     """Unnormalized limb rows spanning tiny to saturating quires."""
     lo = -(1 << magnitude_bits)
     limbs = rng.integers(lo, -lo, size=(rows, num_limbs), dtype=np.int64)
-    limbs[:, -1] = 0  # sign-extension headroom, as the engines guarantee
+    limbs[:, -1] = 0  # sign-extension headroom, as the kernels guarantee
     # A few rows exercise the sparse/small cases.
     limbs[rng.random(size=rows) < 0.25, 1:] = 0
     limbs[rng.random(size=rows) < 0.1] = 0

@@ -1,7 +1,7 @@
 """Registry behaviour + end-to-end extensibility of the formats backend.
 
 The acceptance criterion for the backend refactor: a brand-new number
-system, registered once, must flow through the engines, scalar EMACs,
+system, registered once, must flow through the compiled kernels, scalar EMACs,
 quantizers, and sweep candidate enumeration without touching any dispatch
 site.  ``TestNewFamilyEndToEnd`` does exactly that with a bfloat-style
 family.
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import formats
-from repro.core import engine_for, scalar_emac_for
+from repro.core import scalar_emac_for
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
@@ -61,16 +61,6 @@ class TestLookup:
     def test_get_memoized_per_name(self):
         assert formats.get("posit8_1") is formats.get("posit8_1")
 
-    def test_engine_memoized_per_format_key(self):
-        from repro.core import engine_for
-
-        fmt = standard_format(8, 1)
-        backend = formats.backend_for(fmt)
-        assert backend.engine() is backend.engine()
-        assert engine_for(fmt) is engine_for(standard_format(8, 1))
-        # make_engine still hands out private instances
-        assert backend.make_engine() is not backend.engine()
-
     def test_limb_tables_memoized(self):
         backend = formats.get("posit8_1")
         assert backend.limb_tables() is backend.limb_tables()
@@ -104,7 +94,6 @@ class TestBackendMetadata:
 
     def test_factories(self):
         backend = formats.get("posit8_1")
-        assert backend.make_engine().width == 8
         assert backend.make_scalar_emac().width == 8
 
 
@@ -158,7 +147,7 @@ class TestNewFamilyEndToEnd:
         assert brain.fmt == _BrainFormat(5, 2)
 
     def test_engine_and_emac_dispatch(self, brain, rng):
-        engine = engine_for(brain.fmt)
+        """The family's compiled kernel agrees with its scalar EMAC."""
         emac = scalar_emac_for(brain.fmt)
         hi = 1 << brain.width
         from repro.floatp import tables_for
@@ -168,7 +157,9 @@ class TestNewFamilyEndToEnd:
         X = rng.integers(0, hi, size=(4, 9), dtype=np.uint32)
         W[reserved[W]] = 0
         X[reserved[X]] = 0
-        out = engine.dot(W, X)
+        backend = formats.backend_for(brain.fmt)
+        assert backend is brain
+        out = backend.compile_layer(W)(X)
         for i in range(4):
             for o in range(3):
                 assert int(out[i, o]) == emac.dot(
@@ -192,8 +183,8 @@ class TestNewFamilyEndToEnd:
         inputs = rng.normal(size=(5, 3))
         values = net.forward_values(inputs)
         assert values.shape == (5, 2)
-        # Vector engine agrees with the scalar reference path.
-        patterns = net.engine.quantize(inputs)
+        # The compiled kernels agree with the scalar reference path.
+        patterns = net.backend.quantize_batch(inputs)
         scalar = net.forward_scalar([int(p) for p in patterns[0]])
         assert [int(v) for v in net.forward_patterns(patterns[0])[0]] == scalar
 

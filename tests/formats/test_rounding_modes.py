@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import formats
-from repro.core import engine_for, scalar_emac_for
+from repro.core import scalar_emac_for
 from repro.core.accumulator import LIMB_BITS, combine_limbs
 from repro.core.positron import PositronNetwork
 from repro.fixedpoint import fixed_format
@@ -59,7 +59,7 @@ def random_limbs(rng, rows, num_limbs, magnitude_bits):
     """Unnormalized limb rows spanning tiny to saturating quires."""
     lo = -(1 << magnitude_bits)
     limbs = rng.integers(lo, -lo, size=(rows, num_limbs), dtype=np.int64)
-    limbs[:, -1] = 0  # sign-extension headroom, as the engines guarantee
+    limbs[:, -1] = 0  # sign-extension headroom, as the kernels guarantee
     limbs[rng.random(size=rows) < 0.25, 1:] = 0
     limbs[rng.random(size=rows) < 0.1] = 0
     return limbs
@@ -215,7 +215,8 @@ def test_unknown_mode_rejected_everywhere():
             np.zeros((1, 1), dtype=np.uint32), rounding_mode="tie"
         )
     with pytest.raises(ValueError, match="rounding mode"):
-        engine_for(fixed_format(8, 4)).dot(
+        formats.dot_reference(
+            formats.backend_for(fixed_format(8, 4)),
             np.zeros((1, 1), dtype=np.uint32),
             np.zeros((1, 1), dtype=np.uint32),
             rounding_mode="floor",
@@ -268,10 +269,10 @@ def test_kernel_rtz_matches_scalar_oracle(fmt, rng):
     kernel = backend.compile_layer(W, B, rounding_mode="rtz")
     assert kernel.rounding_mode == "rtz"
     assert np.array_equal(kernel(X), scalar_truncated_dot(fmt, W, X, B))
-    # The one-shot engine path and the retained reference nest agree too.
-    engine = engine_for(fmt)
-    got = engine.dot(W, X, B, rounding_mode="rtz")
-    assert np.array_equal(got, engine.dot_reference(W, X, B, rounding_mode="rtz"))
+    # A fresh one-shot compile and the retained reference nest agree too.
+    got = backend.compile_layer(W, B, rounding_mode="rtz")(X)
+    ref = formats.dot_reference(backend, W, X, B, rounding_mode="rtz")
+    assert np.array_equal(got, ref)
     assert np.array_equal(got, kernel(X))
 
 
@@ -280,9 +281,8 @@ def test_kernel_rtz_covers_plane_int64_and_limb_paths(rng):
     # Plane path (a one-layer plan on a wide, trained-like layer).
     fmt = standard_format(8, 1)
     backend = formats.backend_for(fmt)
-    engine = engine_for(fmt)
-    W = engine.quantize(rng.uniform(-1, 1, size=(12, 40)))
-    B = engine.quantize(rng.uniform(-0.5, 0.5, size=12))
+    W = backend.quantize_batch(rng.uniform(-1, 1, size=(12, 40)))
+    B = backend.quantize_batch(rng.uniform(-0.5, 0.5, size=12))
     X = scrub(fmt, rng.integers(0, 256, size=(3, 40), dtype=np.uint32))
     k = backend.compile_layer(W, B, rounding_mode="rtz")
     assert isinstance(k, NetworkKernel)
@@ -312,7 +312,6 @@ def test_kernel_rtz_covers_plane_int64_and_limb_paths(rng):
 
 def test_network_rounding_mode_threads_through_layers(rng):
     fmt = standard_format(8, 0)
-    engine = engine_for(fmt)
     weights = [rng.uniform(-1, 1, size=(4, 3)), rng.uniform(-1, 1, size=(2, 4))]
     biases = [rng.uniform(-1, 1, size=4), rng.uniform(-1, 1, size=2)]
     net = PositronNetwork.from_float_params(fmt, weights, biases)
@@ -321,14 +320,14 @@ def test_network_rounding_mode_threads_through_layers(rng):
     assert twin.rounding_mode == "rtz"
     assert twin.with_rounding_mode("rtz") is twin
     assert net.with_rounding_mode("rne") is net
-    # The twin shares the pattern arrays and the memoized engine.
+    # The twin shares the pattern arrays and the memoized backend.
     assert twin.layers[0].weights is net.layers[0].weights
-    assert twin.engine is net.engine
+    assert twin.backend is net.backend
     for layer in twin.layers:
         assert layer.rounding_mode == "rtz"
         assert layer._kernel.rounding_mode == "rtz"
     x = rng.uniform(-2, 2, size=(9, 3))
-    patterns = engine.quantize(x)
+    patterns = net.backend.quantize_batch(x)
     rne_out = net.forward_patterns(patterns)
     rtz_out = twin.forward_patterns(patterns)
     assert rne_out.shape == rtz_out.shape == (9, 2)

@@ -1,8 +1,9 @@
 """Scratch-pool reentrancy: kernels shared across threads stay bit-exact.
 
-The format registry memoizes backends, engines, and compiled kernels per
-format key, and the serving layer runs batches on executor threads — so two
-forward passes through the *same* kernel objects can be in flight at once.
+The format registry memoizes backends and their tables per format key,
+resident networks keep their compiled kernels, and the serving layer runs
+batches on executor threads — so two forward passes through the *same*
+kernel objects can be in flight at once.
 The scratch pool is per-thread (``kernels._scratch``); these tests pin down
 that two interleaved kernel runs never corrupt each other's staging/GEMM
 buffers, which a process-global pool would allow.
@@ -81,18 +82,17 @@ def test_scratch_pool_is_per_thread():
 
 
 def test_concurrent_network_forward_matches_serial(rng):
-    """Full-network forwards on two threads reuse one memoized engine safely."""
+    """Full-network forwards on two threads reuse one memoized backend safely."""
     from repro.core import PositronNetwork
 
-    backend = formats.get("posit8_1")
-    engine = backend.engine()  # the shared, memoized instance
+    backend = formats.get("posit8_1")  # the shared, memoized instance
     w = [rng.normal(scale=0.6, size=(8, 6)), rng.normal(scale=0.4, size=(3, 8))]
     b = [rng.normal(scale=0.1, size=8), np.zeros(3)]
     net = PositronNetwork.from_float_params(backend.fmt, w, b)
-    assert net.engine is engine
+    assert net.backend is backend
 
     x = rng.normal(size=(96, 6))
-    patterns = engine.quantize(x)
+    patterns = backend.quantize_batch(x)
     expected = net.forward_patterns(patterns).copy()
 
     barrier = threading.Barrier(2)

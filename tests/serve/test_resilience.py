@@ -177,10 +177,12 @@ class TestDeadlines:
         x = rng.normal(size=(1, 4))
         with start_in_thread(registry=registry, port=0) as handle:
             with ServeClient(port=handle.server.port) as client:
-                for bad in (0, -5, "soon", True, float("nan")):
+                errors = client.stats()["errors"]
+                for bad in (0, -5, "soon", True, float("nan"), 10**400):
                     with pytest.raises(ServeError) as err:
                         client.predict("toy", "posit8_1", x, deadline_ms=bad)
                     assert err.value.status == 400
+                assert client.stats()["errors"] == errors
 
 
 class TestLoadShedding:

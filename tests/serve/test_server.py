@@ -154,25 +154,27 @@ class TestErrorPaths:
         assert client.stats()["errors"] == errors
 
     def test_overflowing_literal_400(self, handle, client):
-        """``1e999`` parses to inf: the same 400 as ``Infinity``."""
+        """``1e999`` parses to inf, and an integer literal too big for
+        float64 cannot convert: both get the same 400 as ``Infinity``."""
         import http.client
 
         errors = client.stats()["errors"]
-        conn = http.client.HTTPConnection(
-            "127.0.0.1", handle.server.port, timeout=10
-        )
-        try:
-            conn.request(
-                "POST", "/predict",
-                body='{"dataset": "toy", "format": "posit8_1", '
-                     '"inputs": [[1e999, 0, 0, 0]]}',
-                headers={"Content-Type": "application/json"},
+        for literal in ("1e999", "1" + "0" * 400):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", handle.server.port, timeout=10
             )
-            response = conn.getresponse()
-            assert response.status == 400
-            assert "finite" in json.loads(response.read())["error"]
-        finally:
-            conn.close()
+            try:
+                conn.request(
+                    "POST", "/predict",
+                    body='{"dataset": "toy", "format": "posit8_1", '
+                         f'"inputs": [[{literal}, 0, 0, 0]]}}',
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                assert response.status == 400, literal
+                assert "finite" in json.loads(response.read())["error"]
+            finally:
+                conn.close()
         assert client.stats()["errors"] == errors
 
     def test_boolean_outside_inputs_is_served(self, client, rng):

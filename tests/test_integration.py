@@ -7,7 +7,7 @@ formats, on a synthetic problem small enough for CI.
 import numpy as np
 import pytest
 
-from repro.core import PositronNetwork, engine_for
+from repro.core import PositronNetwork
 from repro.fixedpoint import fixed_format
 from repro.floatp import float_format
 from repro.nn import MLP, TrainConfig, train_classifier
@@ -75,8 +75,7 @@ class TestEndToEnd:
         weights, biases = model.export_params()
         fmt = standard_format(8, 1)
         net = PositronNetwork.from_float_params(fmt, weights, biases)
-        engine = engine_for(fmt)
-        patterns = engine.quantize(test_x[:5])
+        patterns = net.backend.quantize_batch(test_x[:5])
         vec = net.forward_patterns(patterns)
         for i in range(5):
             scalar = net.forward_scalar([int(p) for p in patterns[i]])
