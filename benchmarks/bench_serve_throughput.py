@@ -5,9 +5,9 @@ Two servers over the same trained WBC posit8_1 model:
 * **sequential** — an unbatched service (``max_batch=1``, no coalescing
   delay) driven by one client sending one request at a time: every request
   pays the full per-call kernel overhead at batch size 1;
-* **batched** — the default micro-batching service (``max_batch=32``)
-  under 32 concurrent clients: the scheduler coalesces the burst into
-  kernel-sized stacks.
+* **batched** — a fixed 2 ms window (``max_batch=32``,
+  ``max_delay_ms=2.0``) under 32 concurrent clients: the scheduler
+  coalesces the burst into kernel-sized stacks.
 
 Both paths return bit-identical predictions (asserted); the acceptance
 floor is batched >= 3x sequential req/s at max_batch=32.  CI records the
@@ -74,7 +74,7 @@ def test_serve_sequential_requests(benchmark, test_rows, wbc_model):
 
 @pytest.mark.benchmark(group="serve-throughput")
 def test_serve_microbatched_requests(benchmark, test_rows, wbc_model):
-    """32 concurrent clients against the default micro-batching server."""
+    """32 concurrent clients against a fixed 2 ms window server."""
     with start_in_thread(
         port=0, max_batch=MAX_BATCH, max_delay_ms=2.0
     ) as handle:

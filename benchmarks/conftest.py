@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import repro  # noqa: F401  (first: its BLAS thread pin precedes numpy)
 import numpy as np
 import pytest
 

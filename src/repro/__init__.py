@@ -28,7 +28,17 @@ Subpackages
     Experiment drivers reproducing every table and figure.
 """
 
-from . import formats
+import os
+
+# The kernels are small exact-integer float64 GEMMs, and multithreaded
+# OpenBLAS on a 2-vCPU host sometimes runs them ~10x slow for a whole
+# process.  Pin BLAS and OpenMP to one thread before numpy's first
+# import; an explicit user setting wins, and spawned pool and runner
+# workers inherit the environment.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+from . import formats  # noqa: E402  (after the BLAS pin)
 from .core import (
     FixedEmac,
     FloatEmac,

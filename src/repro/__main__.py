@@ -33,14 +33,13 @@ content-addressed artifact cache (interrupt it; rerunning resumes)::
 The micro-batching inference service answers concurrent predict requests
 over HTTP, coalescing them into compiled-kernel-sized batches with
 responses bit-identical to direct ``predict`` (see docs/serving.md).
-Service operations ride along: Prometheus ``/metrics``, adaptive
-coalescing delay, model hot-swap (``/swap``) and A/B serving with a
-sampled bit-identity canary::
+Service operations ride along: Prometheus ``/metrics``, model hot-swap
+(``/swap``) and A/B serving with a sampled bit-identity canary::
 
     python -m repro serve                  # listen on 127.0.0.1:8707
     python -m repro serve --port 9000 --max-batch 64 --max-delay-ms 5
     python -m repro serve --warmup wbc:posit8_1 --warmup iris:float4_3
-    python -m repro serve --no-adaptive-delay      # fixed coalescing window
+    python -m repro serve --max-delay-ms 2         # fixed 2 ms coalescing window
     python -m repro serve --ab wbc:posit8_1:float8_4 --canary-every 4
 """
 
@@ -342,16 +341,14 @@ def _serve(args: list[str]) -> int:
                         help="listen port (0 = any free port)")
     parser.add_argument("--max-batch", type=int, default=32,
                         help="rows per coalesced kernel batch")
-    parser.add_argument("--max-delay-ms", type=float, default=2.0,
-                        help="longest a lone request waits for batchmates")
+    parser.add_argument("--max-delay-ms", type=float, default=0.0,
+                        help="fixed window a batch waits for batchmates "
+                             "(0 = flush at once, batching whatever queued "
+                             "while the previous batch ran)")
     parser.add_argument("--queue-limit", type=int, default=256,
                         help="bounded per-model queue (backpressure)")
     parser.add_argument("--workers", type=int, default=2,
                         help="executor threads running kernel batches")
-    parser.add_argument(
-        "--no-adaptive-delay", action="store_true",
-        help="disable EWMA delay tuning (always wait the full max-delay-ms)",
-    )
     parser.add_argument(
         "--warmup", action="append", default=[], metavar="DATASET:FORMAT",
         help="preload a model before serving (repeatable)",
@@ -409,7 +406,6 @@ def _serve(args: list[str]) -> int:
         max_delay_ms=ns.max_delay_ms,
         queue_limit=ns.queue_limit,
         executor_workers=ns.workers,
-        adaptive_delay=not ns.no_adaptive_delay,
         canary_every=ns.canary_every,
         shed_threshold=ns.shed_threshold,
         rollback_after=ns.rollback_after,

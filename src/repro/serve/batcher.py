@@ -8,18 +8,19 @@ concurrent single requests into kernel-sized batches:
 * every served model owns one batcher and one bounded :class:`asyncio.Queue`
   (backpressure: when the queue is full, ``submit`` waits, which propagates
   to the HTTP handler and ultimately to TCP);
-* the worker takes the first pending request, then keeps collecting until
-  the stacked batch reaches ``max_batch`` rows or the coalescing deadline
-  elapses since the batch opened — a lone request is flushed at the
-  deadline, a burst fills the batch immediately;
-* with ``adaptive_delay`` (the default) the deadline is not a fixed
-  ``max_delay_ms`` but an **EWMA-tuned effective delay** in
-  ``[0, max_delay_ms]``: the batcher tracks the exponentially weighted
-  inter-arrival gap of submits, waits roughly the expected time to fill a
-  batch when traffic is dense, and decays toward an immediate flush when
-  the gap grows past the window (sparse traffic gains no batchmates by
-  waiting, so it should not pay the latency).  Timing only — no setting
-  of the knob can change any served bit;
+* by default (``max_delay_ms=0``) the worker **flushes at once**: it takes
+  the first pending request, yields once so already-scheduled submitters
+  can enqueue, drains whatever is queued up to ``max_batch`` rows and
+  executes.  Requests that arrive while a batch runs on the executor
+  queue up and form the next batch, so batches grow with load with no
+  estimator and no timer (the adaptive-batching baseline of Crankshaw et
+  al., *Clipper*, NSDI 2017);
+* a positive ``max_delay_ms`` is a fixed coalescing window instead: the
+  worker keeps collecting until the batch reaches ``max_batch`` rows or
+  the window elapses since the batch opened.  The loop's epoll clock
+  sleeps in whole milliseconds, so a window under 1 ms still waits about
+  1.2 ms.  Timing only — no setting of the knob can change any served
+  bit;
 * the stacked pattern matrix is executed through
   :meth:`~repro.core.positron.PositronNetwork.predict_patterns` on an
   executor thread, in slices of at most ``max_batch`` rows (a multi-row
@@ -30,8 +31,8 @@ concurrent single requests into kernel-sized batches:
   stays bit-identical to direct ``predict`` because the fused plan is
   bit-identical to the per-layer kernels.
 
-Every scheduling *decision* — effective delay, shed threshold, deadline
-expiry, slice caps — lives in
+Every scheduling *decision* — coalescing window, shed threshold,
+deadline expiry, slice caps — lives in
 :class:`~repro.serve.scheduler.SchedulerPolicy` and the executor-side
 helpers in :mod:`repro.serve.scheduler`.  This module is the asyncio
 plumbing around them, and the only batcher: the single server and every
@@ -84,18 +85,16 @@ class MicroBatcher:
         model: ServedModel,
         *,
         max_batch: int = 32,
-        max_delay_ms: float = 2.0,
+        max_delay_ms: float = 0.0,
         queue_limit: int = 256,
         executor: Executor | None = None,
         stats: ServeStats | None = None,
-        adaptive_delay: bool = True,
         shed_threshold: float | None = None,
     ):
         self.policy = SchedulerPolicy(
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
             queue_limit=queue_limit,
-            adaptive_delay=adaptive_delay,
             shed_threshold=shed_threshold,
         )
         self.model = model
@@ -105,14 +104,6 @@ class MicroBatcher:
         self._queue: asyncio.Queue = asyncio.Queue(maxsize=queue_limit)
         self._task: asyncio.Task | None = None
         self._closing = False
-
-    # The knobs and the adaptive estimator live on ``self.policy``.
-    @property
-    def effective_delay_ms(self) -> float:
-        """The coalescing window the next batch will wait, in milliseconds
-        (for ``/models`` and metrics) — see
-        :meth:`repro.serve.scheduler.SchedulerPolicy.effective_delay`."""
-        return self.policy.effective_delay * 1000.0
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -145,10 +136,8 @@ class MicroBatcher:
         patterns = self.policy.validate_patterns(patterns)
         loop = asyncio.get_running_loop()
         self.start()
-        now = loop.time()
-        self.policy.observe_arrival(now)
         item = PendingRequest(patterns, patterns.shape[0],
-                              loop.create_future(), now, deadline)
+                              loop.create_future(), loop.time(), deadline)
         await self._queue.put(item)
         return await item.future
 
@@ -210,16 +199,16 @@ class MicroBatcher:
             batch = [item]
             rows = item.rows
             saw_close = False
-            deadline = loop.time() + self.policy.effective_delay
+            deadline = loop.time() + self.policy.max_delay
             cap = self.policy.max_batch
             while rows < cap:
                 remaining = deadline - loop.time()
                 if remaining <= 0:
-                    # Deadline hit (possibly a near-zero adaptive window):
-                    # still coalesce the backlog.  One zero-sleep lets
-                    # already-scheduled submitters enqueue, then drain
-                    # without waiting — a same-tick burst batches fully
-                    # even when the window is microseconds.
+                    # Window closed (at once when it is 0): still coalesce
+                    # the backlog.  One zero-sleep lets already-scheduled
+                    # submitters enqueue, then drain without waiting — a
+                    # same-tick burst batches fully, and everything that
+                    # queued while the previous batch ran joins this one.
                     await asyncio.sleep(0)
                     while rows < cap:
                         try:

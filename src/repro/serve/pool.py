@@ -669,22 +669,15 @@ class WorkerPool:
     async def _aggregate_metrics(self):
         """Pooled ``/metrics``: one exposition over every worker.
 
-        Counters sum; per-model queue depths sum; the effective-delay
-        gauge reports the per-model maximum (the most conservative window
-        any worker is currently applying).
+        Counters sum; per-model queue depths sum.
         """
         worker_states = await self._collect_worker_states()
         merged = merge_states([w["state"] for w in worker_states])
         queue_depths: dict[str, int] = {}
-        delays: dict[str, float] = {}
         for state in worker_states:
             for key, depth in state.get("queue_depths", {}).items():
                 queue_depths[key] = queue_depths.get(key, 0) + depth
-            for key, delay in state.get("effective_delay_ms", {}).items():
-                delays[key] = max(delays.get(key, 0.0), delay)
-        text = merged.render_prometheus(
-            queue_depths=queue_depths, effective_delay_ms=delays
-        )
+        text = merged.render_prometheus(queue_depths=queue_depths)
         return (
             200,
             text.encode("utf-8"),

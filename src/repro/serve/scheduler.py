@@ -1,15 +1,16 @@
 """Transport-free micro-batch scheduling core.
 
-The micro-batching contract — coalesce until ``max_batch`` rows or an
-(adaptively tuned) deadline, shed when saturated, expire per-request
-deadlines before any kernel work, split oversized stacks, isolate poison
-requests — is pure scheduling policy.  Nothing in it needs an event
-loop, so this module holds the policy and the executor-side helpers, and
+The micro-batching contract — flush at once with whatever queued (or,
+with a positive ``max_delay_ms``, coalesce until ``max_batch`` rows or
+that fixed deadline), shed when saturated, expire per-request deadlines
+before any kernel work, split oversized stacks, isolate poison requests
+— is pure scheduling policy.  Nothing in it needs an event loop, so
+this module holds the policy and the executor-side helpers, and
 :class:`~repro.serve.batcher.MicroBatcher` (one asyncio worker task per
 served model, in the single server and in every pool worker alike) binds
 them to its queue and futures:
 
-* :class:`SchedulerPolicy` makes every decision: effective delay, shed
+* :class:`SchedulerPolicy` makes every decision: coalescing window, shed
   threshold, deadline expiry;
 * :func:`stack_batch` and :func:`predict_in_slices` are the kernel-side
   body that runs on an executor thread.
@@ -66,11 +67,6 @@ POINT_WORKER = faults.register_point(
     "start/ready/drain lifecycle phases plus every batch)"
 )
 
-#: EWMA smoothing factor for the inter-arrival gap estimator: ~the last
-#: dozen arrivals dominate, so the effective delay tracks load shifts
-#: within a few requests without chasing single-gap noise.
-_EWMA_ALPHA = 0.25
-
 
 class ServiceClosed(RuntimeError):
     """Raised by ``submit`` once the batcher has begun shutting down."""
@@ -102,24 +98,25 @@ class PendingRequest:
 class SchedulerPolicy:
     """Every micro-batching *decision*, free of any event loop.
 
-    Owns the knobs (validated once, at construction) and the adaptive
-    coalescing estimator; the batcher asks it what to do and keeps only
-    the plumbing (queue, futures, worker task) to itself.
+    Owns the knobs (validated once, at construction); the batcher asks
+    it what to do and keeps only the plumbing (queue, futures, worker
+    task) to itself.
     """
 
     def __init__(
         self,
         *,
         max_batch: int = 32,
-        max_delay_ms: float = 2.0,
+        max_delay_ms: float = 0.0,
         queue_limit: int = 256,
-        adaptive_delay: bool = True,
         shed_threshold: float | None = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be >= 0")
+        # A NaN or infinite window would never close: a lone request
+        # would wait forever.
+        if not math.isfinite(max_delay_ms) or max_delay_ms < 0:
+            raise ValueError("max_delay_ms must be a finite number >= 0")
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         if shed_threshold is not None and not 0.0 < shed_threshold <= 1.0:
@@ -127,7 +124,6 @@ class SchedulerPolicy:
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay_ms) / 1000.0
         self.queue_limit = int(queue_limit)
-        self.adaptive_delay = bool(adaptive_delay)
         # Load shedding is opt-in: None keeps the original backpressure
         # behavior (full queue = submitters wait).  With a threshold f,
         # submits are refused outright once qsize reaches
@@ -139,47 +135,6 @@ class SchedulerPolicy:
             if shed_threshold is None
             else max(1, math.ceil(shed_threshold * queue_limit))
         )
-        self._arrival_gap_s: float | None = None  # EWMA inter-arrival gap
-        self._last_arrival_s: float | None = None
-
-    # -- adaptive coalescing delay --------------------------------------
-    def observe_arrival(self, now: float) -> None:
-        if self._last_arrival_s is not None:
-            gap = max(0.0, now - self._last_arrival_s)
-            if self._arrival_gap_s is None:
-                self._arrival_gap_s = gap
-            else:
-                self._arrival_gap_s += _EWMA_ALPHA * (
-                    gap - self._arrival_gap_s
-                )
-        self._last_arrival_s = now
-
-    @property
-    def effective_delay(self) -> float:
-        """The coalescing window (seconds) the next batch will wait.
-
-        * no estimate yet (cold start) or adaptation disabled: the full
-          ``max_delay`` — the conservative fixed-window behavior;
-        * dense traffic (EWMA gap below the window): wait the expected
-          time to *fill* the batch, ``gap * (max_batch - 1)``, capped at
-          ``max_delay`` — a saturating burst closes the batch by count
-          long before any deadline;
-        * sparse traffic (EWMA gap beyond the window): batchmates are
-          unlikely inside the window, so the wait decays as
-          ``max_delay * (max_delay / gap)`` toward an immediate flush.
-
-        Continuous at ``gap == max_delay`` and always in
-        ``[0, max_delay]``.  This is pure scheduling — it can change when
-        a batch executes, never what it computes.
-        """
-        if not self.adaptive_delay or self._arrival_gap_s is None:
-            return self.max_delay
-        gap = self._arrival_gap_s
-        if gap >= self.max_delay:
-            if gap <= 0.0:  # max_delay == 0 and no observed spacing
-                return 0.0
-            return self.max_delay * (self.max_delay / gap)
-        return min(self.max_delay, gap * (self.max_batch - 1))
 
     # -- per-submit decisions -------------------------------------------
     def should_shed(self, qsize: int) -> bool:

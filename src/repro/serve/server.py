@@ -6,7 +6,7 @@ JSON response, keeping the connection alive between requests.  Endpoints:
 
 ==========================  =================================================
 ``GET  /health``            liveness + loaded-model count
-``GET  /models``            loaded models, batching knobs, effective delays
+``GET  /models``            loaded models + batching knobs
 ``POST /warmup``            ``{"dataset", "format"}`` — load/train eagerly
 ``POST /predict``           ``{"dataset", "format", "inputs": [[...], ...]}``
                             (omit ``format`` to route via an A/B experiment)
@@ -126,11 +126,10 @@ class InferenceServer:
         host: str = "127.0.0.1",
         port: int = 8707,
         max_batch: int = 32,
-        max_delay_ms: float = 2.0,
+        max_delay_ms: float = 0.0,
         queue_limit: int = 256,
         executor_workers: int = 2,
         submit_timeout_s: float = 60.0,
-        adaptive_delay: bool = True,
         canary_every: int = 8,
         shed_threshold: float | None = None,
         rollback_after: int = 1,
@@ -139,8 +138,8 @@ class InferenceServer:
     ):
         # Fail at construction, not on the first request: these values are
         # otherwise only exercised when a batcher is built or a queue fills.
-        # Each batcher builds its own policy (the estimator is per model);
-        # this one only validates the batching knobs.
+        # Each batcher builds its own policy; this one only validates
+        # the batching knobs.
         SchedulerPolicy(
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
@@ -162,7 +161,6 @@ class InferenceServer:
         self.max_delay_ms = max_delay_ms
         self.queue_limit = queue_limit
         self.submit_timeout_s = submit_timeout_s
-        self.adaptive_delay = bool(adaptive_delay)
         self.canary_every = int(canary_every)
         self.shed_threshold = shed_threshold
         # Canary divergences on one A/B arm before that arm is rolled
@@ -294,7 +292,6 @@ class InferenceServer:
                 queue_limit=self.queue_limit,
                 executor=self._executor,
                 stats=self.stats,
-                adaptive_delay=self.adaptive_delay,
                 shed_threshold=self.shed_threshold,
             )
             batcher.start()
@@ -440,10 +437,6 @@ class InferenceServer:
                     key: batcher.pending
                     for key, batcher in self._batchers.items()
                 },
-                effective_delay_ms={
-                    key: round(batcher.effective_delay_ms, 6)
-                    for key, batcher in self._batchers.items()
-                },
             )
             return (
                 200,
@@ -461,13 +454,8 @@ class InferenceServer:
                     "max_batch": self.max_batch,
                     "max_delay_ms": self.max_delay_ms,
                     "queue_limit": self.queue_limit,
-                    "adaptive_delay": self.adaptive_delay,
                     "shed_threshold": self.shed_threshold,
                     "rollback_after": self.rollback_after,
-                    "effective_delay_ms": {
-                        key: round(batcher.effective_delay_ms, 3)
-                        for key, batcher in sorted(self._batchers.items())
-                    },
                 },
                 "ab": {
                     dataset: exp.describe()
@@ -544,10 +532,6 @@ class InferenceServer:
             "state": self.stats.export_state(),
             "queue_depths": {
                 key: batcher.pending
-                for key, batcher in self._batchers.items()
-            },
-            "effective_delay_ms": {
-                key: round(batcher.effective_delay_ms, 6)
                 for key, batcher in self._batchers.items()
             },
             "models_loaded": len(self.registry.loaded()),

@@ -198,15 +198,13 @@ class ServeStats:
         }
 
     def render_prometheus(
-        self,
-        queue_depths: dict[str, int] | None = None,
-        effective_delay_ms: dict[str, float] | None = None,
+        self, queue_depths: dict[str, int] | None = None
     ) -> str:
         """The ``GET /metrics`` body: Prometheus text exposition format.
 
-        ``queue_depths`` / ``effective_delay_ms`` are per-model gauges the
-        server reads off its live batchers at scrape time (they are state,
-        not events, so they don't live in the counters).
+        ``queue_depths`` is a per-model gauge the server reads off its
+        live batchers at scrape time (it is state, not events, so it
+        doesn't live in the counters).
         """
         lines: list[str] = []
 
@@ -214,16 +212,6 @@ class ServeStats:
             lines.append(f"# HELP {name} {help_text}")
             lines.append(f"# TYPE {name} counter")
             lines.append(f"{name} {_fmt(value)}")
-
-        def gauge_family(
-            name: str, help_text: str, values: dict[str, float]
-        ) -> None:
-            lines.append(f"# HELP {name} {help_text}")
-            lines.append(f"# TYPE {name} gauge")
-            for model, value in sorted(values.items()):
-                lines.append(
-                    f'{name}{{model="{_escape_label(model)}"}} {_fmt(value)}'
-                )
 
         counter("repro_serve_requests_total",
                 "Completed predict requests.", self.requests)
@@ -307,17 +295,14 @@ class ServeStats:
                     f'{model_name}{{model="{_escape_label(model)}"}} {count}'
                 )
         if queue_depths:
-            gauge_family(
-                "repro_serve_queue_depth",
-                "Requests queued per model (excludes the in-flight batch).",
-                queue_depths,
-            )
-        if effective_delay_ms:
-            gauge_family(
-                "repro_serve_effective_delay_ms",
-                "Adaptive coalescing delay currently in effect per model.",
-                effective_delay_ms,
-            )
+            name = "repro_serve_queue_depth"
+            lines.append(f"# HELP {name} Requests queued per model "
+                         "(excludes the in-flight batch).")
+            lines.append(f"# TYPE {name} gauge")
+            for model, depth in sorted(queue_depths.items()):
+                lines.append(
+                    f'{name}{{model="{_escape_label(model)}"}} {_fmt(depth)}'
+                )
         return "\n".join(lines) + "\n"
 
 

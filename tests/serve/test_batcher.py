@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro import formats
 from repro.serve.batcher import MicroBatcher, ServiceClosed
 from repro.serve.registry import build_served_model
-from repro.serve.scheduler import SchedulerPolicy
 from repro.serve.stats import ServeStats
 
 from .conftest import tiny_loader
@@ -442,99 +441,36 @@ class TestZeroRowRequests:
 
 
 class TestAdaptiveDelay:
-    """The EWMA-tuned effective coalescing window.  The estimator cases
-    run on the :class:`SchedulerPolicy` every batcher owns (its other
-    branches are in ``test_scheduler.py``); the rest drive a live
-    batcher.  Pure scheduling: none of these change any served bit (the
-    bit-identity suites above run with adaptation on, the default)."""
+    """Batching that follows load with no estimator and no timer: the
+    default zero window flushes at once, and whatever queued while the
+    previous batch ran forms the next batch (``test_scheduler.py`` holds
+    a batch to stage that).  A positive window is a fixed wait."""
 
-    def _policy(self, **kw):
-        kw.setdefault("max_batch", 8)
-        kw.setdefault("max_delay_ms", 2.0)
-        return SchedulerPolicy(**kw)
-
-    def test_cold_start_uses_full_window(self):
-        batcher = MicroBatcher(toy_model(), max_batch=8, max_delay_ms=2.0)
-        assert batcher.policy.effective_delay == batcher.policy.max_delay
-        assert batcher.effective_delay_ms == 2.0
-
-    def test_disabled_always_uses_full_window(self):
-        policy = self._policy(adaptive_delay=False)
-        policy._arrival_gap_s = 1e-6  # would shrink the window if enabled
-        assert policy.effective_delay == policy.max_delay
-
-    def test_dense_traffic_waits_expected_fill_time(self):
-        policy = self._policy()  # max_delay = 2ms, max_batch = 8
-        policy._arrival_gap_s = 0.0001  # 0.1ms gaps
-        # expected fill: gap * (max_batch - 1) = 0.7ms < 2ms cap
-        assert policy.effective_delay == pytest.approx(0.0007)
-
-    def test_dense_traffic_capped_at_max_delay(self):
-        policy = self._policy()
-        policy._arrival_gap_s = 0.0015  # fill time 10.5ms > 2ms cap
-        assert policy.effective_delay == pytest.approx(0.002)
-
-    def test_sparse_traffic_decays_toward_zero(self):
-        policy = self._policy()  # max_delay = 2ms
-        policy._arrival_gap_s = 0.2  # 100x the window
-        assert policy.effective_delay == pytest.approx(0.00002)
-
-    def test_continuous_at_the_window_boundary(self):
-        policy = self._policy()
-        policy._arrival_gap_s = policy.max_delay
-        # Both branches give max_delay * 1 here (dense side caps at
-        # max_delay since gap * 7 > max_delay).
-        assert policy.effective_delay == pytest.approx(policy.max_delay)
-
-    def test_bounded_in_zero_to_max_delay(self):
-        policy = self._policy()
-        for gap in (0.0, 1e-9, 1e-4, 2e-3, 5e-3, 1.0, 1e3):
-            policy._arrival_gap_s = gap
-            assert 0.0 <= policy.effective_delay <= policy.max_delay
-
-    def test_ewma_update_tracks_arrivals(self):
-        policy = self._policy()
-        policy.observe_arrival(10.0)
-        assert policy._arrival_gap_s is None  # first arrival: no gap yet
-        policy.observe_arrival(10.1)
-        assert policy._arrival_gap_s == pytest.approx(0.1)
-        policy.observe_arrival(10.3)
-        # gap 0.2, EWMA with alpha 0.25: 0.1 + 0.25 * (0.2 - 0.1)
-        assert policy._arrival_gap_s == pytest.approx(0.125)
-
-    def test_ewma_clamps_clock_regression_to_zero_gap(self):
-        policy = self._policy()
-        policy.observe_arrival(10.0)
-        policy.observe_arrival(9.0)  # loop.time() never regresses, but
-        assert policy._arrival_gap_s == 0.0  # the estimator shrugs it off
-
-    def test_sparse_traffic_flushes_much_faster_than_the_window(
-        self, toy_inputs
+    def test_default_flushes_a_lone_request_without_a_timer(
+        self, toy_inputs, monkeypatch
     ):
-        """Integration: after sparse arrivals, a lone request should not
-        pay anywhere near the full (long) coalescing window."""
         model = toy_model()
-        window_ms = 500.0
-        x = toy_inputs(1)
+        x = toy_inputs(2)
+
+        def no_timer(*args, **kwargs):
+            raise AssertionError("a zero window must not arm a timer")
+
+        monkeypatch.setattr(asyncio, "wait_for", no_timer)
 
         async def scenario():
-            batcher = MicroBatcher(
-                model, max_batch=8, max_delay_ms=window_ms
-            )
-            # Seed the estimator with very sparse traffic: gaps 100x the
-            # window -> effective delay 500ms * (500ms / 50s) = 5ms.
-            batcher.policy._arrival_gap_s = 50.0
-            loop = asyncio.get_running_loop()
-            start = loop.time()
-            result = await batcher.submit(model.quantize(x))
-            elapsed = loop.time() - start
+            batcher = MicroBatcher(model)
+            batcher.start()
+            request = asyncio.ensure_future(batcher.submit(model.quantize(x)))
+            # A worker that armed a timer dies; never hang on it.
+            await asyncio.wait({request, batcher._task}, timeout=5.0,
+                               return_when=asyncio.FIRST_COMPLETED)
+            assert request.done(), "the lone request was not answered"
             await batcher.close()
-            return result, elapsed
+            return request.result()
 
-        result, elapsed = asyncio.run(scenario())
-        np.testing.assert_array_equal(result, model.network.predict(x))
-        # Far below the fixed 500ms window a non-adaptive batcher pays.
-        assert elapsed < 0.25
+        np.testing.assert_array_equal(
+            asyncio.run(scenario()), model.network.predict(x)
+        )
 
     def test_fixed_window_still_honored_when_disabled(self, toy_inputs):
         model = toy_model()
@@ -544,7 +480,6 @@ class TestAdaptiveDelay:
                 model,
                 max_batch=8,
                 max_delay_ms=60.0,
-                adaptive_delay=False,
             )
             patterns = model.quantize(toy_inputs(1))
             await batcher.submit(patterns)
@@ -556,5 +491,6 @@ class TestAdaptiveDelay:
             await batcher.close()
             return elapsed
 
-        # With adaptation off, the lone request waits the full window.
+        # A positive window is fixed: even after earlier traffic, the
+        # lone request waits it out.
         assert asyncio.run(scenario()) >= 0.03

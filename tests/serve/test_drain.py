@@ -49,7 +49,7 @@ def test_inflight_request_completes_exactly_once_during_drain(rng):
     async def scenario():
         server = InferenceServer(
             registry=ModelRegistry(loader=tiny_loader), port=0,
-            max_delay_ms=400.0, adaptive_delay=False,
+            max_delay_ms=400.0,
         )
         await server.start()
         # The lone request waits the full 400ms window: reliably in

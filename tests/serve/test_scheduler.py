@@ -1,7 +1,7 @@
 """The scheduling contract: ``SchedulerPolicy`` and its asyncio binding.
 
 ``SchedulerPolicy`` owns every batching decision (coalescing window,
-adaptive delay, shed threshold, deadline expiry) and is tested here
+shed threshold, deadline expiry) and is tested here
 without any event loop.  :class:`MicroBatcher` binds it to a queue and a
 worker task; the contract cases drive whole workloads through it and
 assert the observable behavior: batch-size histograms, shed decisions,
@@ -32,16 +32,20 @@ from .test_batcher import toy_model
 
 class _GatedNetwork:
     """Blocks every forward until released (the batcher runs forwards on
-    executor *threads*, so a threading event gates them)."""
+    executor *threads*, so a threading event gates them), then answers
+    zeros or, given one, what the ``inner`` network predicts."""
 
-    def __init__(self):
+    def __init__(self, inner=None):
         self.release = threading.Event()
         self.calls = 0
+        self.inner = inner
 
     def predict_patterns(self, patterns):
         self.calls += 1
         assert self.release.wait(timeout=30.0)
-        return np.zeros(patterns.shape[0], dtype=np.int64)
+        if self.inner is None:
+            return np.zeros(patterns.shape[0], dtype=np.int64)
+        return self.inner.predict_patterns(patterns)
 
 
 def _gated_model():
@@ -65,6 +69,29 @@ class _AsyncioDriver:
             await asyncio.sleep(0)  # let every submit enqueue
             await batcher.close()  # sentinel flushes the partial tail
             return await asyncio.gather(*futures, return_exceptions=True)
+
+        return asyncio.run(scenario())
+
+    def held(self, model, first, patterns_list, stats=None, **knobs):
+        """Submit ``patterns_list`` while the batch holding ``first`` is
+        gated in the executor, then release it; returns the outcomes of
+        ``patterns_list``."""
+
+        async def scenario():
+            batcher = MicroBatcher(model, stats=stats, **knobs)
+            head = asyncio.ensure_future(batcher.submit(first))
+            await _await_gated(model)
+            futures = [
+                asyncio.ensure_future(batcher.submit(p))
+                for p in patterns_list
+            ]
+            await asyncio.sleep(0.01)
+            assert batcher.pending == len(patterns_list)
+            model.network.release.set()
+            results = await asyncio.gather(*futures)
+            await head
+            await batcher.close()
+            return results
 
         return asyncio.run(scenario())
 
@@ -185,6 +212,28 @@ class TestBindingContract:
         for x, got in zip(inputs, results):
             np.testing.assert_array_equal(got, model.network.predict(x))
 
+    @pytest.mark.parametrize("rows", [(1, 1), (1, 3, 2, 1, 1)])
+    def test_requests_queued_behind_a_batch_form_the_next(
+        self, driver, toy_inputs, rows
+    ):
+        """Flush at once (the default zero window): the k requests that
+        queue while a batch runs coalesce into exactly one next batch."""
+        toy = toy_model()
+        model = SimpleNamespace(
+            key=toy.key, network=_GatedNetwork(toy.network)
+        )
+        stats = ServeStats()
+        inputs = [toy_inputs(n) for n in rows]
+        results = driver.held(
+            model, toy.quantize(toy_inputs(1)),
+            [toy.quantize(x) for x in inputs], stats=stats, max_batch=8,
+        )
+        assert model.network.calls == 2
+        assert sum(rows) <= 8
+        assert dict(stats.batch_sizes) == {1: 1, sum(rows): 1}
+        for x, got in zip(inputs, results):
+            np.testing.assert_array_equal(got, toy.network.predict(x))
+
     def test_oversized_request_slices_identically(self, driver, toy_inputs):
         model = toy_model()
         stats = ServeStats()
@@ -262,11 +311,16 @@ class TestSchedulerPolicy:
         with pytest.raises(ValueError):
             SchedulerPolicy(max_batch=0)
         with pytest.raises(ValueError):
-            SchedulerPolicy(max_delay_ms=-1.0)
-        with pytest.raises(ValueError):
             SchedulerPolicy(queue_limit=0)
         with pytest.raises(ValueError):
             SchedulerPolicy(shed_threshold=1.5)
+
+    @pytest.mark.parametrize("delay_ms", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_or_negative_window(self, delay_ms):
+        # A NaN or infinite window never closes: a lone request would
+        # wait forever instead of being answered.
+        with pytest.raises(ValueError, match="max_delay_ms must be"):
+            SchedulerPolicy(max_delay_ms=delay_ms)
 
     def test_shed_math_matches_served_semantics(self):
         policy = SchedulerPolicy(queue_limit=4, shed_threshold=0.5)
@@ -296,25 +350,3 @@ class TestSchedulerPolicy:
         assert [p.deadline for p in expired] == [5.0]
         error = policy.expiry_error(expired[0], now=10.0)
         assert isinstance(error, DeadlineExceeded)
-
-    def test_effective_delay_branches(self):
-        policy = SchedulerPolicy(max_batch=8, max_delay_ms=2.0)
-        assert policy.effective_delay == pytest.approx(0.002)  # cold
-        policy._arrival_gap_s = 0.0001  # dense: fill time 0.7ms < cap
-        assert policy.effective_delay == pytest.approx(0.0007)
-        policy._arrival_gap_s = 0.004  # sparse: decay quadratically
-        assert policy.effective_delay == pytest.approx(0.001)
-        off = SchedulerPolicy(max_delay_ms=2.0, adaptive_delay=False)
-        off._arrival_gap_s = 1e-6
-        assert off.effective_delay == pytest.approx(0.002)
-
-    def test_ewma_observes_arrivals(self):
-        policy = SchedulerPolicy()
-        policy.observe_arrival(10.0)
-        assert policy._arrival_gap_s is None
-        policy.observe_arrival(10.1)
-        assert policy._arrival_gap_s == pytest.approx(0.1)
-        policy.observe_arrival(10.3)
-        # gap 0.2, EWMA with alpha 0.25: 0.1 + 0.25 * (0.2 - 0.1)
-        assert policy._arrival_gap_s == pytest.approx(0.125)
-

@@ -330,8 +330,6 @@ class TestMetricsEndpoint:
         # Per-batcher gauges appear once a model has taken traffic.
         depth = dict(families["repro_serve_queue_depth"])
         assert 'model="toy/posit8_1"' in depth
-        delays = dict(families["repro_serve_effective_delay_ms"])
-        assert delays['model="toy/posit8_1"'] >= 0.0
 
     def test_metrics_content_type_is_prometheus_text(self, handle, client):
         client.predict("toy", "posit8_1", np.zeros((1, 4)))
@@ -358,28 +356,25 @@ class TestMetricsEndpoint:
 
 
 class TestAdaptiveKnobSurface:
+    """``/models`` reports the one configured window, with no per-model
+    delay state."""
+
     def test_models_reports_adaptive_delay_and_effective_windows(
         self, client, rng
     ):
         client.predict("toy", "posit8_1", rng.normal(size=(1, 4)))
-        listing = client.models()
-        batching = listing["batching"]
-        assert batching["adaptive_delay"] is True
-        assert "toy/posit8_1" in batching["effective_delay_ms"]
-        assert (
-            0.0
-            <= batching["effective_delay_ms"]["toy/posit8_1"]
-            <= batching["max_delay_ms"]
-        )
+        batching = client.models()["batching"]
+        assert batching["max_delay_ms"] == 5.0  # the handle's window
+        assert "adaptive_delay" not in batching
+        assert "effective_delay_ms" not in batching
 
     def test_adaptive_delay_off_is_reported(self):
         registry = ModelRegistry(loader=tiny_loader)
-        with start_in_thread(
-            registry=registry, port=0, adaptive_delay=False, max_delay_ms=3.0
-        ) as off_handle:
-            with ServeClient(port=off_handle.server.port) as c:
+        with start_in_thread(registry=registry, port=0) as default_handle:
+            with ServeClient(port=default_handle.server.port) as c:
                 c.predict("toy", "posit8_1", np.zeros((2, 4)))
                 batching = c.models()["batching"]
-        assert batching["adaptive_delay"] is False
-        # Fixed window: the effective delay equals max_delay_ms.
-        assert batching["effective_delay_ms"]["toy/posit8_1"] == 3.0
+        # The default flushes at once: a zero window, no estimator.
+        assert batching["max_delay_ms"] == 0.0
+        assert "adaptive_delay" not in batching
+        assert "effective_delay_ms" not in batching

@@ -210,9 +210,6 @@ repro_serve_model_samples_total{model="toy/posit8_1"} 4
 # HELP repro_serve_queue_depth Requests queued per model (excludes the in-flight batch).
 # TYPE repro_serve_queue_depth gauge
 repro_serve_queue_depth{model="toy/posit8_1"} 2
-# HELP repro_serve_effective_delay_ms Adaptive coalescing delay currently in effect per model.
-# TYPE repro_serve_effective_delay_ms gauge
-repro_serve_effective_delay_ms{model="toy/posit8_1"} 1.5
 """
 
 _SAMPLE_LINE = re.compile(
@@ -263,7 +260,6 @@ class TestPrometheusRendering:
     def test_matches_handwritten_fixture(self):
         rendered = _known_stats().render_prometheus(
             queue_depths={"toy/posit8_1": 2},
-            effective_delay_ms={"toy/posit8_1": 1.5},
         )
         assert rendered == _EXPECTED_EXPOSITION
 
@@ -271,7 +267,6 @@ class TestPrometheusRendering:
         families = parse_exposition(
             _known_stats().render_prometheus(
                 queue_depths={"toy/posit8_1": 0},
-                effective_delay_ms={"toy/posit8_1": 2.0},
             )
         )
         assert families["repro_serve_requests_total"] == [("", 2.0)]
@@ -313,6 +308,5 @@ class TestPrometheusRendering:
     def test_omits_empty_gauge_sections(self):
         rendered = ServeStats().render_prometheus()
         assert "repro_serve_queue_depth" not in rendered
-        assert "repro_serve_effective_delay_ms" not in rendered
         assert "repro_serve_model_samples_total" not in rendered
         parse_exposition(rendered)  # still a valid document
