@@ -17,12 +17,13 @@ are directly comparable to Table II — and both now run *vectorized*:
 * the truncated EMAC is simply the network recompiled with
   ``rounding_mode="rtz"`` (:meth:`PositronNetwork.with_rounding_mode`), so
   it rides the same compiled kernels and fused plans as the main sweeps;
-* the naive MAC replaces its per-step ``quantize∘decode∘quantize`` with a
-  registry-memoized pattern-domain **product table** — a ``(2**n, 2**n)``
-  uint32 gather holding ``round(w · a)`` for every pattern pair — plus the
-  backends' sorted-boundary ``searchsorted`` quantizer for the add-round,
-  vectorized over ``(batch, out)``; only the (inherently sequential)
-  fan-in recurrence remains a Python loop.
+* the naive MAC replaces its per-step ``quantize∘decode∘quantize`` with
+  two registry-memoized pattern-domain tables — flat ``uint16`` arrays of
+  ``2**(2n)`` entries holding ``round(w · a)`` (the **product table**) and
+  ``round(acc + p)`` (the **sum table**) for every pattern pair — so each
+  fan-in step is two ``take`` gathers vectorized over ``(batch, out)``;
+  only the (inherently sequential) fan-in recurrence remains a Python
+  loop.
 
 The seed scalar paths are retained as ``naive_forward_reference`` and
 ``truncated_forward_reference``: they are the property-test oracles the
@@ -65,8 +66,9 @@ __all__ = [
 #: Widths of the ablation grid (the paper's deployment range).
 ABLATION_WIDTHS: tuple[int, ...] = (5, 6, 7, 8)
 
-#: Product tables are dense ``(2**n, 2**n)`` gathers; beyond this width the
-#: quadratic table stops paying for itself (and stops fitting in cache).
+#: The naive-MAC tables are dense ``2**(2n)``-entry ``uint16`` gathers;
+#: beyond this width the quadratic tables stop paying for themselves (and
+#: stop fitting in cache).
 _MAX_TABLE_WIDTH = 12
 
 
@@ -78,14 +80,18 @@ def _dequantize(fmt, patterns: np.ndarray) -> np.ndarray:
 # Naive MAC (round after every multiply-accumulate)
 # ----------------------------------------------------------------------
 def naive_product_table(backend) -> tuple[np.ndarray, np.ndarray]:
-    """``(values, products)`` for the pattern-domain naive-MAC recurrence.
+    """``(products, sums)``: the two rounds of one naive MAC step as tables.
 
-    ``values[p]`` is pattern ``p`` decoded to float64 (invalid patterns
-    pinned to 0 — the datapath never sees them); ``products[w, a]`` is the
-    pattern of ``round(value[w] * value[a])``, i.e. one whole
-    quantize∘multiply step as a single indexed gather.  Memoized on the
-    registry-cached backend, so every ablation cell, pool worker, and
-    benchmark in a process shares one table per format.
+    Both are flat ``uint16`` arrays of ``2**(2n)`` entries indexed by a
+    pattern pair ``(x << n) | y``.  With ``value[p]`` pattern ``p``
+    decoded to float64 (invalid patterns pinned to 0 — the datapath never
+    sees them), ``products[(w << n) | a]`` is the pattern of
+    ``round(value[w] * value[a])`` and ``sums[(acc << n) | p]`` the
+    pattern of ``round(value[acc] + value[p])``: the very float64
+    expressions the per-step recurrence would quantize, so gathering them
+    is bit-identical by construction.  Memoized on the registry-cached
+    backend, so every ablation cell, pool worker, and benchmark in a
+    process shares one pair of tables per format.
     """
     if backend.width > _MAX_TABLE_WIDTH:
         raise ValueError(
@@ -99,7 +105,8 @@ def naive_product_table(backend) -> tuple[np.ndarray, np.ndarray]:
         values = backend.decode_batch(patterns)
         values = np.where(np.isfinite(values), values, 0.0)
         products = backend.quantize_batch(values[:, None] * values[None, :])
-        return values, products.astype(np.uint32)
+        sums = backend.quantize_batch(values[:, None] + values[None, :])
+        return products.astype(np.uint16).ravel(), sums.astype(np.uint16).ravel()
 
     return backend._memo("_naive_product_table", build)
 
@@ -109,29 +116,30 @@ def naive_forward(network: PositronNetwork, inputs: np.ndarray) -> np.ndarray:
 
     Uses the same quantized parameters as ``network`` but a sequential
     ``acc = round(acc + round(w * a))`` recurrence per neuron, evaluated in
-    pattern space: the product round is one gather from the memoized
-    product table, the add-round one decode-gather + add + batched
-    sorted-boundary quantize — both vectorized over every (sample, neuron)
+    pattern space as a pure gather recurrence: each fan-in step is one
+    ``take`` from the memoized product table and one from the sum table
+    (:func:`naive_product_table`), vectorized over every (sample, neuron)
     pair at once.  Bit-identical to :func:`naive_forward_reference`.
     """
     backend = network.backend
-    values, products = naive_product_table(backend)
+    n = backend.width
+    products, sums = naive_product_table(backend)
     current = backend.quantize_batch(np.asarray(inputs, dtype=np.float64))
     if current.ndim == 1:
         current = current[None, :]
     batch = current.shape[0]
     for layer in network.layers:
-        weights = layer.weights.astype(np.int64)  # (out, in)
+        # Weight patterns pre-shifted into the pair index's high half,
+        # one contiguous (out,) row per input feature.
+        weight_rows = layer.weights.T.astype(np.intp) << n  # (in, out)
         # Bias preloaded, like the EMAC.
         acc = np.broadcast_to(
-            layer.bias.astype(np.int64), (batch, layer.out_features)
-        ).copy()
-        cur = current.astype(np.int64)
+            layer.bias.astype(np.uint16), (batch, layer.out_features)
+        )
+        cur = current.astype(np.intp)
         for i in range(layer.in_features):
-            prod = products[weights[None, :, i], cur[:, i, None]]  # (batch, out)
-            acc = backend.quantize_batch(values[acc] + values[prod]).astype(
-                np.int64
-            )
+            prod = products.take(weight_rows[i] | cur[:, i, None])  # (batch, out)
+            acc = sums.take((acc.astype(np.intp) << n) | prod)
         out = acc.astype(np.uint32)
         if layer.activation == "relu":
             out = backend.relu_batch(out)

@@ -73,7 +73,7 @@ from .http import (
 )
 from .registry import ModelRegistry
 from .scheduler import POINT_WORKER
-from .server import InferenceServer
+from .server import InferenceServer, validate_server_knobs
 from .stats import merge_states
 
 __all__ = [
@@ -202,7 +202,8 @@ class WorkerPool:
     ``server_kwargs`` passes batching/serving knobs through to every
     worker's :class:`~repro.serve.server.InferenceServer` (``max_batch``,
     ``max_delay_ms``, ``queue_limit``, ``shed_threshold``, ...); they must
-    be picklable.  ``loader_spec`` is a ``"module:attr"`` import path for
+    be picklable, and are validated here, before any worker spawns.
+    ``loader_spec`` is a ``"module:attr"`` import path for
     a registry loader (tests inject tiny synthetic models; ``None`` uses
     the store-backed default).
     """
@@ -225,6 +226,7 @@ class WorkerPool:
     ):
         if workers < 1:
             raise ValueError("workers must be >= 1")
+        validate_server_knobs(**(server_kwargs or {}))
         if not hasattr(socket, "SO_REUSEPORT"):
             raise RuntimeError(
                 "the worker pool needs SO_REUSEPORT, which this platform "

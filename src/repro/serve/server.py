@@ -116,6 +116,42 @@ def _holds_bool(inputs) -> bool:
     )
 
 
+def validate_server_knobs(
+    *,
+    max_batch: int = 32,
+    max_delay_ms: float = 0.0,
+    queue_limit: int = 256,
+    executor_workers: int = 2,
+    submit_timeout_s: float = 60.0,
+    canary_every: int = 8,
+    shed_threshold: float | None = None,
+    rollback_after: int = 1,
+) -> None:
+    """Raise ``ValueError`` for any serving knob :class:`InferenceServer`
+    would refuse (an unknown knob is a ``TypeError``).
+
+    The server runs it at construction; the worker pool runs it on its
+    ``server_kwargs`` before spawning, so a bad knob is one error in the
+    manager instead of a crash loop in every worker.
+    """
+    # Each batcher builds its own policy; this one only validates the
+    # batching knobs.
+    SchedulerPolicy(
+        max_batch=max_batch,
+        max_delay_ms=max_delay_ms,
+        queue_limit=queue_limit,
+        shed_threshold=shed_threshold,
+    )
+    if executor_workers < 1:
+        raise ValueError("executor_workers must be >= 1")
+    if submit_timeout_s <= 0:
+        raise ValueError("submit_timeout_s must be > 0")
+    if canary_every < 0:
+        raise ValueError("canary_every must be >= 0")
+    if rollback_after < 0:
+        raise ValueError("rollback_after must be >= 0")
+
+
 class InferenceServer:
     """The service: registry + per-model micro-batchers + HTTP front end."""
 
@@ -138,22 +174,16 @@ class InferenceServer:
     ):
         # Fail at construction, not on the first request: these values are
         # otherwise only exercised when a batcher is built or a queue fills.
-        # Each batcher builds its own policy; this one only validates
-        # the batching knobs.
-        SchedulerPolicy(
+        validate_server_knobs(
             max_batch=max_batch,
             max_delay_ms=max_delay_ms,
             queue_limit=queue_limit,
+            executor_workers=executor_workers,
+            submit_timeout_s=submit_timeout_s,
+            canary_every=canary_every,
             shed_threshold=shed_threshold,
+            rollback_after=rollback_after,
         )
-        if executor_workers < 1:
-            raise ValueError("executor_workers must be >= 1")
-        if submit_timeout_s <= 0:
-            raise ValueError("submit_timeout_s must be > 0")
-        if canary_every < 0:
-            raise ValueError("canary_every must be >= 0")
-        if rollback_after < 0:
-            raise ValueError("rollback_after must be >= 0")
         self.registry = registry if registry is not None else ModelRegistry()
         self.host = host
         self.port = port

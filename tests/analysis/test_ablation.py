@@ -1,5 +1,5 @@
 """Vectorized ablation layer: bit-identity to the scalar references,
-the naive product table, the store-cached grid, and (slow) the paper's
+the naive product and sum tables, the store-cached grid, and (slow) the paper's
 directional exact-vs-naive claim over the full 3-dataset table."""
 
 import numpy as np
@@ -48,13 +48,29 @@ def iris_networks(iris_model):
     }
 
 
+#: (dataset, rows) of the naive-MAC property test: the full iris and wbc
+#: test sets and a mushroom slice (its 117 inputs per row make the float64
+#: oracle the slow side).
+PROPERTY_SETS = (("iris", None), ("wbc", None), ("mushroom", 128))
+
+
 class TestNaiveForward:
-    def test_bit_identical_to_reference(self, iris_model, iris_networks):
-        ds = iris_model.dataset
-        for fmt, net in iris_networks.items():
-            vec = naive_forward(net, ds.test_x)
-            ref = naive_forward_reference(net, ds.test_x)
-            assert np.array_equal(vec, ref), str(fmt)
+    def test_bit_identical_to_reference(self):
+        """The two-table gather recurrence equals the float64 oracle bit
+        for bit, for every posit config of the ablation grid."""
+        for name, rows in PROPERTY_SETS:
+            tm = trained_model(name)
+            weights, biases = tm.model.export_params()
+            x = np.asarray(tm.dataset.test_x[:rows], dtype=np.float64)
+            for n in ABLATION_WIDTHS:
+                for config in _ablation_configs(n):
+                    net = PositronNetwork.from_float_params(
+                        config.fmt, weights, biases
+                    )
+                    vec = naive_forward(net, x)
+                    ref = naive_forward_reference(net, x)
+                    assert vec.dtype == ref.dtype, f"{name} {config.label}"
+                    assert np.array_equal(vec, ref), f"{name} {config.label}"
 
     def test_nonposit_families_bit_identical(self, iris_model):
         """naive_forward is format-generic: float and fixed match too."""
@@ -83,25 +99,50 @@ class TestNaiveForward:
         assert naive_accuracy(net, ds.test_x, ds.test_y) == decoded
 
 
+TABLE_FORMATS = ["posit8_1", "posit6_0", "float4_3", "float2_2", "fixed8_4"]
+
+
+def _valid_pairs(backend, rng, size=200):
+    """Random pairs of valid (finite-decoding) patterns of ``backend``."""
+    patterns = np.arange(1 << backend.width, dtype=np.uint32)
+    valid = np.flatnonzero(np.isfinite(backend.decode_batch(patterns)))
+    return rng.choice(valid, size=size), rng.choice(valid, size=size)
+
+
 class TestNaiveProductTable:
-    @pytest.mark.parametrize(
-        "name", ["posit8_1", "posit6_0", "float4_3", "float2_2", "fixed8_4"]
-    )
+    @pytest.mark.parametrize("name", TABLE_FORMATS)
+    def test_flat_uint16_tables(self, name):
+        backend = formats.get(name)
+        for table in naive_product_table(backend):
+            assert table.dtype == np.uint16
+            assert table.shape == (1 << (2 * backend.width),)
+
+    @pytest.mark.parametrize("name", TABLE_FORMATS)
     def test_matches_quantize_nearest(self, name, rng):
         backend = formats.get(name)
-        values, products = naive_product_table(backend)
-        valid = np.flatnonzero(np.isfinite(backend.decode_batch(
-            np.arange(1 << backend.width, dtype=np.uint32))))
-        w = rng.choice(valid, size=200)
-        a = rng.choice(valid, size=200)
+        products, _ = naive_product_table(backend)
+        w, a = _valid_pairs(backend, rng)
         expect = quantize_nearest(
             backend.fmt, backend.decode_batch(w) * backend.decode_batch(a)
         )
-        assert np.array_equal(products[w, a], expect)
+        assert np.array_equal(products[(w << backend.width) | a], expect)
+
+    @pytest.mark.parametrize("name", TABLE_FORMATS)
+    def test_sums_match_quantize_nearest(self, name, rng):
+        """The add-round contract: ``sums[a, p]`` is the nearest pattern
+        to ``decode(a) + decode(p)``."""
+        backend = formats.get(name)
+        _, sums = naive_product_table(backend)
+        a, p = _valid_pairs(backend, rng)
+        expect = quantize_nearest(
+            backend.fmt, backend.decode_batch(a) + backend.decode_batch(p)
+        )
+        assert np.array_equal(sums[(a << backend.width) | p], expect)
 
     def test_memoized_per_backend(self):
         backend = formats.get("posit6_0")
-        assert naive_product_table(backend)[1] is naive_product_table(backend)[1]
+        first, second = naive_product_table(backend), naive_product_table(backend)
+        assert first[0] is second[0] and first[1] is second[1]
 
     def test_width_guard(self):
         with pytest.raises(ValueError, match="product table"):

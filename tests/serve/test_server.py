@@ -8,6 +8,7 @@ it — the same embedding the example and the throughput benchmark use.
 from __future__ import annotations
 
 import json
+import multiprocessing.context
 import threading
 
 import numpy as np
@@ -231,22 +232,54 @@ class TestErrorPaths:
             conn.close()
 
 
+#: One invalid value per validated serving knob.
+BAD_KNOBS = [
+    {"max_batch": 0},
+    {"max_delay_ms": -1.0},
+    {"queue_limit": 0},
+    {"executor_workers": 0},
+    {"submit_timeout_s": 0.0},
+    {"canary_every": -1},
+    {"rollback_after": -1},
+]
+
+
+def _refuse_spawn(process):
+    raise AssertionError(f"{process.name} was spawned")
+
+
 class TestConstruction:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_batch": 0},
-            {"max_delay_ms": -1.0},
-            {"queue_limit": 0},
-            {"executor_workers": 0},
-            {"submit_timeout_s": 0.0},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", BAD_KNOBS)
     def test_bad_knobs_rejected_at_startup(self, kwargs):
         from repro.serve import InferenceServer
 
         with pytest.raises(ValueError):
             InferenceServer(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", BAD_KNOBS)
+    def test_pool_rejects_bad_knobs_before_spawning(self, kwargs):
+        """The pool manager applies the server's own checks to its
+        ``server_kwargs``; a bad knob never reaches a worker."""
+        from repro.serve import WorkerPool
+
+        with pytest.raises(ValueError):
+            WorkerPool(port=0, server_kwargs=kwargs)
+
+    def test_pool_cli_bad_knob_is_one_error_line(self, monkeypatch, capsys):
+        """``serve --workers-procs 2 --max-delay-ms -1`` exits 2 with one
+        ``error:`` line and no worker process (it used to crash-loop every
+        worker through its restart budget, then die with a traceback)."""
+        from repro.__main__ import main
+
+        monkeypatch.setattr(
+            multiprocessing.context.SpawnProcess, "start", _refuse_spawn
+        )
+        code = main(["serve", "--workers-procs", "2", "--max-delay-ms", "-1",
+                     "--port", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: max_delay_ms must be a finite number >= 0"
+        ]
 
 
 class TestConcurrentLoad:
